@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "analysis/percentiles.h"
-#include "core/outage_detector.h"
 #include "core/recommendations.h"
 #include "harness.h"
 #include "report.h"

@@ -29,7 +29,7 @@ struct RunResult {
   std::uint64_t late_saves = 0;
 };
 
-RunResult monitor(const core::TimeoutPolicy& policy, std::uint64_t seed) {
+RunResult monitor(const char* label, const core::OnlinePolicy& policy, std::uint64_t seed) {
   sim::Simulator simulator;
   sim::Network network{simulator, sim::Network::Config{}, util::Prng{seed}};
   hosts::HostContext context{simulator, network};
@@ -76,7 +76,7 @@ RunResult monitor(const core::TimeoutPolicy& policy, std::uint64_t seed) {
   simulator.run();
 
   RunResult result;
-  result.policy = policy.name();
+  result.policy = label;
   result.late_saves = detector.stats().late_saves;
   for (const auto& outcome : detector.outcomes()) {
     ++result.checks;
@@ -92,17 +92,22 @@ RunResult monitor(const core::TimeoutPolicy& policy, std::uint64_t seed) {
 }  // namespace
 
 int main() {
-  const core::FixedTimeoutPolicy fixed1{SimTime::seconds(1)};
-  const core::FixedTimeoutPolicy fixed3{SimTime::seconds(3)};
-  const core::ListenLongerPolicy listen{SimTime::seconds(3), SimTime::seconds(60)};
-  const core::QuantileAdaptivePolicy adaptive{1.5};
+  const core::StaticPolicy fixed1{SimTime::seconds(1), SimTime::seconds(1)};
+  const core::StaticPolicy fixed3{SimTime::seconds(3), SimTime::seconds(3)};
+  const core::StaticPolicy listen{SimTime::seconds(3), SimTime::seconds(60)};
+  const core::QuantileAdaptivePolicy adaptive;
+  const struct {
+    const char* label;
+    const core::OnlinePolicy* policy;
+  } roster[] = {{"fixed(1.000s)", &fixed1},
+                {"fixed(3.000s)", &fixed3},
+                {"listen-longer(3.000s/60.000s)", &listen},
+                {"quantile-adaptive(p99 x 1.5)", &adaptive}};
 
   util::TextTable table({"policy", "checks", "real outages caught", "real outages missed",
                          "FALSE outages", "late saves"});
-  for (const core::TimeoutPolicy* policy :
-       std::initializer_list<const core::TimeoutPolicy*>{&fixed1, &fixed3, &listen,
-                                                         &adaptive}) {
-    const auto r = monitor(*policy, 11);
+  for (const auto& [label, policy] : roster) {
+    const auto r = monitor(label, *policy, 11);
     table.add_row({r.policy, std::to_string(r.checks), std::to_string(r.caught_outages),
                    std::to_string(r.missed_outages), std::to_string(r.false_outages),
                    std::to_string(r.late_saves)});

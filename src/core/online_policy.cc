@@ -2,16 +2,68 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "core/p2_quantile.h"
+#include "core/rtt_estimator.h"
 
 namespace turtle::core {
 
 namespace {
 
-/// TCP semantics over the shared RttEstimator: the RTO is both timers.
+// Shared bounds of the adaptive policies: the paper's 60 s listen window
+// caps every prescription, a 500 ms floor keeps a burst of fast samples
+// from training a retransmit storm, and a destination without history
+// starts at the conventional 3 s.
+constexpr SimTime kGiveUp = SimTime::seconds(60);
+constexpr SimTime kFloor = SimTime::millis(500);
+constexpr SimTime kColdStart = SimTime::seconds(3);
+
+/// The decision, whatever is observed. Still counts samples, so callers
+/// can tell a probed destination from a fresh one.
+class StaticEstimator final : public OnlineEstimator {
+ public:
+  explicit StaticEstimator(TimeoutDecision decision) : decision_{decision} {}
+
+  void on_rtt(SimTime /*rtt*/, bool /*retransmitted*/) override { ++observations_; }
+  void on_timeout() override {}
+
+  [[nodiscard]] TimeoutDecision decide() const override { return decision_; }
+  [[nodiscard]] std::uint64_t samples() const override { return observations_; }
+
+ private:
+  TimeoutDecision decision_;
+  std::uint64_t observations_ = 0;
+};
+
+class QuantileAdaptiveEstimator final : public OnlineEstimator {
+ public:
+  void on_rtt(SimTime rtt, bool retransmitted) override {
+    ++observations_;
+    // Karn's rule: an ambiguous pairing never reaches the tracker.
+    if (!retransmitted) p99_.add(rtt.as_seconds());
+  }
+  void on_timeout() override {}
+
+  [[nodiscard]] TimeoutDecision decide() const override {
+    if (p99_.count() < 5) return {kColdStart, kGiveUp};
+    // p99 is rounded to whole microseconds before scaling; the ablation
+    // tables were computed that way.
+    const SimTime p99 = SimTime::from_seconds(p99_.value());
+    const SimTime scaled = SimTime::from_seconds(p99.as_seconds() * 1.5);
+    return {std::clamp(scaled, kFloor, kGiveUp), kGiveUp};
+  }
+  [[nodiscard]] std::uint64_t samples() const override { return observations_; }
+
+ private:
+  P2Quantile p99_{0.99};
+  std::uint64_t observations_ = 0;
+};
+
+/// TCP semantics over RttEstimator: retransmit at the RTO, give up at the
+/// RTO or the listen window, whichever is later.
 class JacobsonKarnEstimator final : public OnlineEstimator {
  public:
-  explicit JacobsonKarnEstimator(bool karn) : karn_{karn} {}
+  JacobsonKarnEstimator(bool karn, SimTime listen) : karn_{karn}, listen_{listen} {}
 
   void on_rtt(SimTime rtt, bool retransmitted) override {
     ++observations_;
@@ -20,34 +72,27 @@ class JacobsonKarnEstimator final : public OnlineEstimator {
     estimator_.add_sample(rtt, karn_ && retransmitted);
   }
   void on_timeout() override {
-    if (karn_) {
-      estimator_.add_loss();  // §5.5 backoff
-    } else {
-      // The naive design retries at the unmodified RTO: count the loss
-      // without backing off.
-      ++naive_losses_;
-    }
+    // §5.5 backoff. The naive design retries at the unmodified RTO.
+    if (karn_) estimator_.add_loss();
   }
 
   [[nodiscard]] TimeoutDecision decide() const override {
     const SimTime rto = estimator_.rto();
-    return {rto, rto};
+    return {rto, std::max(rto, listen_)};
   }
   [[nodiscard]] std::uint64_t samples() const override { return observations_; }
 
  private:
   bool karn_;
+  SimTime listen_;
   std::uint64_t observations_ = 0;
-  std::uint64_t naive_losses_ = 0;
   RttEstimator estimator_;
 };
 
 class EwmaEstimator final : public OnlineEstimator {
  public:
-  EwmaEstimator(double gain, SimTime floor, SimTime cap)
-      : gain_{gain}, floor_{floor}, cap_{cap} {}
-
   void on_rtt(SimTime rtt, bool /*retransmitted*/) override {
+    constexpr double kGain = 0.125;
     const double r = rtt.as_seconds();
     if (observations_++ == 0) {
       mean_ = r;
@@ -57,39 +102,32 @@ class EwmaEstimator final : public OnlineEstimator {
     const double err = r - mean_;
     // Variance before mean, so the residual is measured against the
     // pre-update reference (Welford-style EWMA).
-    var_ = (1 - gain_) * var_ + gain_ * err * err;
-    mean_ += gain_ * err;
+    var_ = (1 - kGain) * var_ + kGain * err * err;
+    mean_ += kGain * err;
   }
-  void on_timeout() override { ++timeouts_; }
+  // No backoff: the simple design the tournament prices.
+  void on_timeout() override {}
 
   [[nodiscard]] TimeoutDecision decide() const override {
-    if (observations_ == 0) {
-      const SimTime cold = std::min(SimTime::seconds(3), cap_);
-      return {cold, cold};
-    }
+    if (observations_ == 0) return {kColdStart, kColdStart};
     const double t = mean_ + 4 * std::sqrt(var_);
-    const SimTime timeout =
-        std::min(std::max(SimTime::from_seconds(t), floor_), cap_);
+    const SimTime timeout = std::clamp(SimTime::from_seconds(t), kFloor, kGiveUp);
     return {timeout, timeout};
   }
   [[nodiscard]] std::uint64_t samples() const override { return observations_; }
 
  private:
-  double gain_;
-  SimTime floor_;
-  SimTime cap_;
   std::uint64_t observations_ = 0;
-  std::uint64_t timeouts_ = 0;
   double mean_ = 0;
   double var_ = 0;
 };
 
 class CusumQuantileEstimator final : public OnlineEstimator {
  public:
-  explicit CusumQuantileEstimator(const CusumQuantilePolicy::Config& config)
-      : config_{config}, quantile_{config.quantile} {}
-
   void on_rtt(SimTime rtt, bool /*retransmitted*/) override {
+    constexpr double kGain = 0.125;    // EWMA gain for the reference mean/dev
+    constexpr double kDrift = 0.5;     // CUSUM slack per observation, dev units
+    constexpr double kThreshold = 8.0; // CUSUM alarm level, dev units
     // Deliberately not Karn-aware: a delayed re-attributed response *is*
     // the surprisingly-high-delay signal this policy exists to track, and
     // the 60 s give-up window makes learning from it safe — the failure
@@ -104,44 +142,37 @@ class CusumQuantileEstimator final : public OnlineEstimator {
     } else {
       const double err = r - mean_;
       // One-sided CUSUM on the normalized pre-update residual: accumulate
-      // surprise beyond `drift` dev-units; an excursion past `threshold`
+      // surprise beyond kDrift dev-units; an excursion past kThreshold
       // means the latency level shifted and the quantile markers describe
       // a distribution that no longer exists.
-      cusum_ = std::max(0.0, cusum_ + err / std::max(dev_, 1e-6) - config_.drift);
-      dev_ = (1 - config_.gain) * dev_ + config_.gain * std::abs(err);
-      mean_ += config_.gain * err;
-      if (cusum_ > config_.threshold) {
-        quantile_ = P2Quantile{config_.quantile};
+      cusum_ = std::max(0.0, cusum_ + err / std::max(dev_, 1e-6) - kDrift);
+      dev_ = (1 - kGain) * dev_ + kGain * std::abs(err);
+      mean_ += kGain * err;
+      if (cusum_ > kThreshold) {
+        p99_ = P2Quantile{0.99};
         cusum_ = 0;
         ++level_shifts_;
       }
     }
-    quantile_.add(r);
+    p99_.add(r);
   }
-  void on_timeout() override { ++timeouts_; }
+  void on_timeout() override {}
 
   [[nodiscard]] TimeoutDecision decide() const override {
-    if (observations_ == 0) {
-      return {std::min(config_.cold_start, config_.give_up), config_.give_up};
-    }
+    if (observations_ == 0) return {kColdStart, kGiveUp};
     const double envelope = mean_ + 4 * dev_;
     // Mid-reset (or early) the quantile markers are order statistics of
     // too few points; lean on the EWMA envelope until P² re-converges.
-    const double target = quantile_.count() >= 5
-                              ? std::max(quantile_.value() * config_.multiplier, envelope)
-                              : envelope;
-    const SimTime retransmit = std::min(
-        std::max(SimTime::from_seconds(target), config_.floor), config_.give_up);
-    return {retransmit, config_.give_up};
+    const double target =
+        p99_.count() >= 5 ? std::max(p99_.value() * 1.5, envelope) : envelope;
+    return {std::clamp(SimTime::from_seconds(target), kFloor, kGiveUp), kGiveUp};
   }
   [[nodiscard]] std::uint64_t samples() const override { return observations_; }
   [[nodiscard]] std::uint64_t level_shifts() const override { return level_shifts_; }
 
  private:
-  CusumQuantilePolicy::Config config_;
-  P2Quantile quantile_;
+  P2Quantile p99_{0.99};
   std::uint64_t observations_ = 0;
-  std::uint64_t timeouts_ = 0;
   std::uint64_t level_shifts_ = 0;
   double mean_ = 0;
   double dev_ = 0;
@@ -150,34 +181,44 @@ class CusumQuantileEstimator final : public OnlineEstimator {
 
 }  // namespace
 
+StaticPolicy::StaticPolicy(SimTime retransmit, SimTime give_up)
+    : decision_{retransmit, give_up} {}
+
+std::unique_ptr<OnlineEstimator> StaticPolicy::make_estimator() const {
+  return std::make_unique<StaticEstimator>(decision_);
+}
+
+std::string StaticPolicy::name() const {
+  return "static_" + std::to_string(decision_.retransmit_after.as_millis()) + "ms_" +
+         std::to_string(decision_.give_up_after.as_millis()) + "ms";
+}
+
+std::unique_ptr<OnlineEstimator> QuantileAdaptivePolicy::make_estimator() const {
+  return std::make_unique<QuantileAdaptiveEstimator>();
+}
+
+std::string QuantileAdaptivePolicy::name() const { return "quantile_p99"; }
+
 std::unique_ptr<OnlineEstimator> JacobsonKarnPolicy::make_estimator() const {
-  return std::make_unique<JacobsonKarnEstimator>(karn_);
+  return std::make_unique<JacobsonKarnEstimator>(karn_, listen_);
 }
 
 std::string JacobsonKarnPolicy::name() const {
-  return karn_ ? "jacobson_karn" : "jacobson_naive";
+  std::string name = karn_ ? "jacobson_karn" : "jacobson_naive";
+  if (listen_ > SimTime{}) name += "_listen_" + std::to_string(listen_.as_millis()) + "ms";
+  return name;
 }
 
-EwmaVariancePolicy::EwmaVariancePolicy(double gain, SimTime floor, SimTime cap)
-    : gain_{gain}, floor_{floor}, cap_{cap} {}
-
 std::unique_ptr<OnlineEstimator> EwmaVariancePolicy::make_estimator() const {
-  return std::make_unique<EwmaEstimator>(gain_, floor_, cap_);
+  return std::make_unique<EwmaEstimator>();
 }
 
 std::string EwmaVariancePolicy::name() const { return "ewma"; }
 
-CusumQuantilePolicy::CusumQuantilePolicy() : config_{} {}
-
 std::unique_ptr<OnlineEstimator> CusumQuantilePolicy::make_estimator() const {
-  return std::make_unique<CusumQuantileEstimator>(config_);
+  return std::make_unique<CusumQuantileEstimator>();
 }
 
-std::string CusumQuantilePolicy::name() const {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "cusum_p%02d",
-                static_cast<int>(config_.quantile * 100 + 0.5));
-  return buf;
-}
+std::string CusumQuantilePolicy::name() const { return "cusum_p99"; }
 
 }  // namespace turtle::core

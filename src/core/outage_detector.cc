@@ -3,7 +3,7 @@
 namespace turtle::core {
 
 OutageDetector::OutageDetector(sim::Simulator& sim, sim::Network& net,
-                               OutageDetectorConfig config, const TimeoutPolicy& policy)
+                               OutageDetectorConfig config, const OnlinePolicy& policy)
     : sim_{sim}, net_{net}, config_{config}, policy_{policy} {}
 
 void OutageDetector::start(const std::vector<net::Ipv4Address>& targets) {
@@ -32,14 +32,12 @@ void OutageDetector::begin_check(net::Ipv4Address target, std::uint32_t round) {
     // interval would be a configuration error); conclude it as an outage.
     conclude(target, state);
   }
+  if (state.estimator == nullptr) state.estimator = policy_.make_estimator();
   Episode& ep = state.episode;
   ep = Episode{};
   ep.round = round;
   ep.start = sim_.now();
-  ep.decision =
-      policy_.decide(state.estimator.samples() || state.estimator.losses() ? &state.estimator
-                                                                           : nullptr);
-  if (config_.retry != nullptr) ep.decision.give_up_after = config_.retry->listen_window();
+  ep.decision = state.estimator->decide();
   ep.generation = next_generation_++;
   state.episode_active = true;
 
@@ -68,17 +66,8 @@ void OutageDetector::send_probe(net::Ipv4Address target) {
   net_.send(packet);
 
   const std::uint64_t generation = ep.generation;
-  const int max_probes =
-      config_.retry != nullptr ? config_.retry->max_attempts() : config_.max_probes;
-  if (static_cast<int>(ep.probes_sent) < max_probes) {
-    // Pacing of follow-ups: the retry policy's schedule when one is
-    // configured (fixed / backoff / listen-longer), otherwise the timeout
-    // policy's single retransmit deadline.
-    const SimTime next_delay =
-        config_.retry != nullptr
-            ? config_.retry->retry_delay(static_cast<int>(ep.probes_sent))
-            : ep.decision.retransmit_after;
-    sim_.schedule_after(next_delay, [this, target, generation] {
+  if (static_cast<int>(ep.probes_sent) < config_.max_probes) {
+    sim_.schedule_after(ep.decision.retransmit_after, [this, target, generation] {
       on_retransmit_timer(target, generation);
     });
   } else {
@@ -145,9 +134,11 @@ void OutageDetector::conclude(net::Ipv4Address target, TargetState& state) {
   ++stats_.checks;
   if (!ep.responded) {
     ++stats_.outages_declared;
-    state.estimator.add_loss();
+    state.estimator->on_timeout();
   } else {
-    state.estimator.add_sample(ep.first_rtt);
+    // Seq matching pairs the response with the probe that elicited it, so
+    // the sample is never ambiguous.
+    state.estimator->on_rtt(ep.first_rtt, /*retransmitted=*/false);
     if (ep.responded_late) ++stats_.late_saves;
   }
   // Each in-flight probe occupies one entry of prober state from its send
@@ -160,10 +151,10 @@ void OutageDetector::conclude(net::Ipv4Address target, TargetState& state) {
   state.episode_active = false;
 }
 
-const RttEstimator* OutageDetector::estimator(net::Ipv4Address target) const {
+const OnlineEstimator* OutageDetector::estimator(net::Ipv4Address target) const {
   const auto it = targets_.find(target.value());
   if (it == targets_.end()) return nullptr;
-  return &it->second.estimator;
+  return it->second.estimator.get();
 }
 
 }  // namespace turtle::core

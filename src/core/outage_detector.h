@@ -3,10 +3,13 @@
 // This is the paper's closing recommendation turned into a reusable
 // component: "send another probe after 3 seconds, but continue listening
 // for a response to earlier probes" (Section 7). The detector periodically
-// checks a set of targets; within a check it retransmits on the policy's
-// `retransmit_after` schedule and only declares an outage when nothing —
-// including late responses to earlier probes — arrives by
-// `give_up_after`. Running it with a FixedTimeoutPolicy degrades it to the
+// checks a set of targets. Each target owns one estimator of the policy;
+// at the start of a check its decision fixes the check's timers: probes go
+// out `retransmit_after` apart, and an outage is declared only when
+// nothing — including late responses to earlier probes — arrives within
+// `give_up_after` of the last one. The check's outcome feeds back into the
+// estimator (first RTT on a response, a timeout on an outage). Running it
+// with a StaticPolicy whose two timers are equal degrades it to the
 // conventional Trinocular/Thunderping behaviour, which is what the
 // ablation benchmark compares against.
 #pragma once
@@ -16,8 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/rtt_estimator.h"
-#include "core/timeout_policy.h"
+#include "core/online_policy.h"
 #include "net/icmp.h"
 #include "net/ipv4.h"
 #include "sim/network.h"
@@ -31,15 +33,8 @@ struct OutageDetectorConfig {
   SimTime check_interval = SimTime::minutes(11);
   /// Number of checks to run per target.
   int rounds = 10;
-  /// Probes per check before giving up (first probe + retries). Ignored
-  /// when `retry` is set.
+  /// Probes per check before giving up (first probe + retries).
   int max_probes = 3;
-  /// Optional retry policy (turtle::fault resilience layer). When set it
-  /// overrides the per-check retry sequence: attempt count, the pacing of
-  /// follow-up probes, and the listen window after the last attempt. The
-  /// TimeoutPolicy still decides the *first* retransmit deadline (and
-  /// thereby what counts as a "late" response). Must outlive the detector.
-  const RetryPolicy* retry = nullptr;
 };
 
 /// Outcome of one reachability check of one target.
@@ -72,7 +67,7 @@ class OutageDetector : public sim::PacketSink {
  public:
   /// `policy` is shared; it must outlive the detector.
   OutageDetector(sim::Simulator& sim, sim::Network& net, OutageDetectorConfig config,
-                 const TimeoutPolicy& policy);
+                 const OnlinePolicy& policy);
 
   /// Begins monitoring. Targets are checked in rounds, staggered across
   /// the check interval so probes do not burst.
@@ -84,7 +79,7 @@ class OutageDetector : public sim::PacketSink {
   [[nodiscard]] DetectorStats stats() const { return stats_; }
 
   /// Per-destination estimator (null if never probed).
-  [[nodiscard]] const RttEstimator* estimator(net::Ipv4Address target) const;
+  [[nodiscard]] const OnlineEstimator* estimator(net::Ipv4Address target) const;
 
  private:
   struct Episode {
@@ -104,7 +99,7 @@ class OutageDetector : public sim::PacketSink {
   };
 
   struct TargetState {
-    RttEstimator estimator;
+    std::unique_ptr<OnlineEstimator> estimator;
     Episode episode;
     bool episode_active = false;
   };
@@ -118,7 +113,7 @@ class OutageDetector : public sim::PacketSink {
   sim::Simulator& sim_;
   sim::Network& net_;
   OutageDetectorConfig config_;
-  const TimeoutPolicy& policy_;
+  const OnlinePolicy& policy_;
 
   std::unordered_map<std::uint32_t, TargetState> targets_;
   std::vector<CheckOutcome> outcomes_;

@@ -5,8 +5,6 @@
 
 namespace turtle::core {
 
-RttEstimator::RttEstimator() : p50_{0.5}, p95_{0.95}, p99_{0.99} {}
-
 void RttEstimator::add_sample(SimTime rtt, bool retransmitted) {
   if (retransmitted) {
     // Karn's rule: the response may answer the original or any
@@ -23,18 +21,12 @@ void RttEstimator::add_sample(SimTime rtt, bool retransmitted) {
     // RFC 6298 initialization.
     srtt_s_ = r;
     rttvar_s_ = r / 2;
-    min_rtt_ = max_rtt_ = rtt;
   } else {
     constexpr double kAlpha = 1.0 / 8;
     constexpr double kBeta = 1.0 / 4;
     rttvar_s_ = (1 - kBeta) * rttvar_s_ + kBeta * std::abs(srtt_s_ - r);
     srtt_s_ = (1 - kAlpha) * srtt_s_ + kAlpha * r;
-    min_rtt_ = std::min(min_rtt_, rtt);
-    max_rtt_ = std::max(max_rtt_, rtt);
   }
-  p50_.add(r);
-  p95_.add(r);
-  p99_.add(r);
   ++samples_;
 }
 

@@ -1,30 +1,24 @@
-// Per-destination RTT tracking for adaptive timeout selection.
-//
-// Keeps O(1) state per destination: RFC 6298-style smoothed RTT/variance
-// (what TCP would compute) alongside P² quantile estimates (what the
-// paper's per-address percentile analysis says actually matters, because
-// wake-up delay makes latency bimodal rather than jittery-around-a-mean).
+// RFC 6298 retransmission-timeout state for one destination: smoothed
+// RTT and variance (what TCP would compute), §5.5 loss backoff, and Karn's
+// rule. JacobsonKarnPolicy's estimator is built on it.
 #pragma once
 
 #include <cstdint>
 
-#include "core/p2_quantile.h"
 #include "util/sim_time.h"
 
 namespace turtle::core {
 
 class RttEstimator {
  public:
-  RttEstimator();
-
   /// Records a measured round trip. `retransmitted` marks a sample whose
   /// probe had been retransmitted before the response arrived: per Karn's
   /// rule the pairing is ambiguous (the response may answer any copy), so
   /// the sample is counted under karn_excluded() but never updates the
-  /// smoothed state or the quantile trackers. Crucially, an ambiguous
-  /// sample also does *not* clear RTO backoff — only an unambiguous one
-  /// does — which is what keeps the estimator from chasing its own
-  /// timeout (Jain's divergence; see adaptive_policy_test).
+  /// smoothed state. Crucially, an ambiguous sample also does *not* clear
+  /// RTO backoff — only an unambiguous one does — which is what keeps the
+  /// estimator from chasing its own timeout (Jain's divergence; see
+  /// adaptive_policy_test).
   void add_sample(SimTime rtt, bool retransmitted = false);
   /// Records a probe that got no response within the observation window.
   /// Beyond the loss count this applies RFC 6298 §5.5 backoff: each loss
@@ -38,14 +32,6 @@ class RttEstimator {
   [[nodiscard]] std::uint64_t karn_excluded() const { return karn_excluded_; }
   /// Current backoff exponent: rto() is scaled by 2^backoff_shift().
   [[nodiscard]] int backoff_shift() const { return backoff_shift_; }
-  /// Observations folded into the P² quantile trackers. Below 5 the
-  /// markers are raw order statistics, not quantile estimates — adaptive
-  /// policies treat that as cold start.
-  [[nodiscard]] std::uint64_t quantile_samples() const { return p99_.count(); }
-  [[nodiscard]] double loss_rate() const {
-    const auto total = samples_ + losses_;
-    return total ? static_cast<double>(losses_) / static_cast<double>(total) : 0.0;
-  }
 
   /// RFC 6298 smoothed estimate and retransmission timeout. rto() clamps
   /// to [1 s, 60 s] (RFC 6298 §2.4) and scales by the loss backoff.
@@ -56,14 +42,6 @@ class RttEstimator {
   /// the 1 s floor — further doublings would be unobservable.
   static constexpr int kMaxBackoffShift = 6;
 
-  /// Latency quantiles (P² estimates).
-  [[nodiscard]] SimTime median() const { return SimTime::from_seconds(p50_.value()); }
-  [[nodiscard]] SimTime p95() const { return SimTime::from_seconds(p95_.value()); }
-  [[nodiscard]] SimTime p99() const { return SimTime::from_seconds(p99_.value()); }
-
-  [[nodiscard]] SimTime min_rtt() const { return min_rtt_; }
-  [[nodiscard]] SimTime max_rtt() const { return max_rtt_; }
-
  private:
   std::uint64_t samples_ = 0;
   std::uint64_t losses_ = 0;
@@ -71,11 +49,6 @@ class RttEstimator {
   int backoff_shift_ = 0;
   double srtt_s_ = 0;
   double rttvar_s_ = 0;
-  P2Quantile p50_;
-  P2Quantile p95_;
-  P2Quantile p99_;
-  SimTime min_rtt_;
-  SimTime max_rtt_;
 };
 
 }  // namespace turtle::core

@@ -6,8 +6,8 @@
 // a NetTransport, which embeds the stock OracleServer on a logical-time
 // simulator. Once per loop iteration the transport pumps, executing the
 // iteration's requests as one batched burst and filling the ordered
-// response slots; idle connections are reaped by an IdleGovernor whose
-// deadline is learned by the oracle's own adaptive estimator. Admin
+// response slots; connections silent for the idle window are reaped by an
+// IdleGovernor. Admin
 // operations ride the same protocol: STATS snapshots the ledger, SWAP
 // hot-swaps a new snapshot file mid-traffic, QUIT (or SIGINT/SIGTERM)
 // runs the graceful drain — flush replies, finalize the serving ledger so

@@ -1,6 +1,5 @@
 #include "daemon/idle.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
@@ -9,13 +8,7 @@ namespace turtle::daemon {
 
 IdleGovernor::IdleGovernor(TimerWheel& wheel, IdleConfig config)
     : wheel_{wheel}, config_{config} {
-  TURTLE_CHECK_GT(config_.min_idle_us, 0u);
-  TURTLE_CHECK_GE(config_.max_idle_us, config_.min_idle_us);
-  if (config_.policy == nullptr) {
-    owned_policy_ = std::make_unique<core::CusumQuantilePolicy>();
-    config_.policy = owned_policy_.get();
-  }
-  estimator_ = config_.policy->make_estimator();
+  TURTLE_CHECK_GT(config_.idle_us, 0u);
   if (config_.registry != nullptr) {
     reaped_ = &config_.registry->counter("daemon.conn.reaped_idle");
   } else {
@@ -23,21 +16,11 @@ IdleGovernor::IdleGovernor(TimerWheel& wheel, IdleConfig config)
   }
 }
 
-std::uint64_t IdleGovernor::idle_allowance_us() const {
-  // The estimator's give-up window is the paper's "keep listening" bound:
-  // how long to wait before declaring the peer lost, learned from this
-  // population's observed gaps instead of assumed.
-  const auto give_up =
-      static_cast<std::uint64_t>(estimator_->decide().give_up_after.as_micros());
-  return std::clamp(give_up, config_.min_idle_us, config_.max_idle_us);
-}
-
 void IdleGovernor::add(std::uint64_t session, std::uint64_t now_us,
                        std::function<void()> on_reap) {
   TURTLE_CHECK(on_reap != nullptr);
   auto [it, inserted] = sessions_.try_emplace(session);
   TURTLE_CHECK(inserted) << "session " << session << " already tracked";
-  it->second.last_activity_us = now_us;
   it->second.on_reap = std::move(on_reap);
   arm(session, it->second, now_us);
 }
@@ -45,17 +28,8 @@ void IdleGovernor::add(std::uint64_t session, std::uint64_t now_us,
 void IdleGovernor::touch(std::uint64_t session, std::uint64_t now_us) {
   const auto it = sessions_.find(session);
   if (it == sessions_.end()) return;  // already reaped or removed
-  Session& state = it->second;
-  if (now_us >= state.last_activity_us) {
-    // An observed gap is a completed "round trip" of client attention —
-    // never a retransmission, so the estimator always learns from it.
-    estimator_->on_rtt(SimTime::micros(static_cast<std::int64_t>(
-                           now_us - state.last_activity_us)),
-                       /*retransmitted=*/false);
-  }
-  state.last_activity_us = now_us;
-  wheel_.cancel(state.timer);
-  arm(session, state, now_us);
+  wheel_.cancel(it->second.timer);
+  arm(session, it->second, now_us);
 }
 
 void IdleGovernor::remove(std::uint64_t session) {
@@ -66,7 +40,7 @@ void IdleGovernor::remove(std::uint64_t session) {
 }
 
 void IdleGovernor::arm(std::uint64_t session, Session& state, std::uint64_t now_us) {
-  state.timer = wheel_.schedule(now_us + idle_allowance_us(), [this, session] {
+  state.timer = wheel_.schedule(now_us + config_.idle_us, [this, session] {
     reap(session);
   });
 }
@@ -74,10 +48,6 @@ void IdleGovernor::arm(std::uint64_t session, Session& state, std::uint64_t now_
 void IdleGovernor::reap(std::uint64_t session) {
   const auto it = sessions_.find(session);
   if (it == sessions_.end()) return;
-  // The peer outlasted the adaptive listen window: that is a timeout
-  // observation in its own right, and the estimator should learn from it
-  // (CUSUM treats it as pressure toward a longer window next time).
-  estimator_->on_timeout();
   reaped_->inc();
   std::function<void()> on_reap = std::move(it->second.on_reap);
   sessions_.erase(it);

@@ -1,15 +1,12 @@
-// Idle / slow-client deadlines driven by the oracle's own adaptive
-// machinery — the daemon practicing what the paper preaches.
+// Idle / slow-client deadlines: the paper's "keep listening" window
+// applied to client connections.
 //
-// The folklore approach is a constant idle timeout; the paper's point is
-// that constants misjudge real delay distributions. So the reaper treats
-// client inter-arrival gaps exactly like the serving layer treats RTTs:
-// it feeds every observed gap into a core::OnlineEstimator (the
-// CUSUM/p99 dual-timer policy from PR 9) and uses the estimator's
-// give-up prescription — "keep listening this long before declaring the
-// peer gone" — as the idle deadline, clamped to a configured band. A
-// stall that exceeds the deadline counts daemon.conn.reaped_idle and
-// feeds on_timeout() back into the estimator, closing the loop.
+// A connection that sends nothing for `idle_us` is reaped: its deadline
+// re-arms on every read, and a stall that outlasts it counts
+// daemon.conn.reaped_idle. A connection is never retried, only given up
+// on, and the dual-timer policies keep their give-up bound at the paper's
+// full 60 s window whatever latencies they observe — so the window is a
+// constant, not something learned from inter-arrival gaps.
 //
 // Sessions are plain ids here, not sockets, and time is caller-supplied
 // microseconds — so the unit test drives a stalled client and an active
@@ -18,25 +15,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 
-#include "core/online_policy.h"
 #include "daemon/timer_wheel.h"
 #include "obs/metrics.h"
-#include "util/sim_time.h"
 
 namespace turtle::daemon {
 
 struct IdleConfig {
-  /// Clamp band for the adaptive deadline. The floor keeps a burst of
-  /// fast requests from training the reaper into killing humans typing;
-  /// the ceiling bounds how long a dead peer can hold an fd.
-  std::uint64_t min_idle_us = 1'000'000;
-  std::uint64_t max_idle_us = 60'000'000;
-  /// Policy whose estimator learns the inter-arrival distribution. Null
-  /// selects the paper-aligned CusumQuantilePolicy default.
-  const core::OnlinePolicy* policy = nullptr;
+  /// How long a silent peer may hold its connection (turtled --idle-ms).
+  std::uint64_t idle_us = 60'000'000;
   obs::Registry* registry = nullptr;
 };
 
@@ -52,22 +40,20 @@ class IdleGovernor {
   /// Starts tracking `session`; the deadline arms from `now_us`.
   void add(std::uint64_t session, std::uint64_t now_us, std::function<void()> on_reap);
 
-  /// Records activity: feeds the gap since the previous mark into the
-  /// estimator and re-arms the session's deadline.
+  /// Records activity: re-arms the session's deadline from `now_us`.
   void touch(std::uint64_t session, std::uint64_t now_us);
 
   /// Stops tracking (connection closed normally).
   void remove(std::uint64_t session);
 
-  /// Current adaptive idle allowance (clamped estimator give-up).
-  [[nodiscard]] std::uint64_t idle_allowance_us() const;
+  /// Idle allowance every session gets.
+  [[nodiscard]] std::uint64_t idle_allowance_us() const { return config_.idle_us; }
 
   [[nodiscard]] std::size_t tracked() const { return sessions_.size(); }
   [[nodiscard]] std::uint64_t reaped() const { return reaped_->value(); }
 
  private:
   struct Session {
-    std::uint64_t last_activity_us = 0;
     TimerWheel::TimerId timer = 0;
     std::function<void()> on_reap;
   };
@@ -77,8 +63,6 @@ class IdleGovernor {
 
   TimerWheel& wheel_;
   IdleConfig config_;
-  std::unique_ptr<core::OnlinePolicy> owned_policy_;
-  std::unique_ptr<core::OnlineEstimator> estimator_;
   std::unordered_map<std::uint64_t, Session> sessions_;
 
   obs::Counter fallback_reaped_;

@@ -1,5 +1,5 @@
-// Tests for the core library: P² quantiles, RTT estimation, timeout
-// policies, and recommendations.
+// Tests for the core library: P² quantiles, RTT estimation, and
+// recommendations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "core/p2_quantile.h"
 #include "core/recommendations.h"
 #include "core/rtt_estimator.h"
-#include "core/timeout_policy.h"
 #include "util/prng.h"
 #include "util/stats.h"
 
@@ -85,26 +84,6 @@ TEST(P2Quantile, BimodalWakeupDistribution) {
   EXPECT_GT(q.value(), 1.9);
 }
 
-TEST(RttEstimator, TracksQuantilesAndMinMax) {
-  RttEstimator est;
-  util::Prng rng{80};
-  for (int i = 0; i < 10'000; ++i) {
-    est.add_sample(SimTime::from_seconds(0.1 + 0.05 * rng.uniform()));
-  }
-  EXPECT_EQ(est.samples(), 10'000u);
-  EXPECT_NEAR(est.median().as_seconds(), 0.125, 0.01);
-  EXPECT_NEAR(est.p99().as_seconds(), 0.1495, 0.01);
-  EXPECT_GE(est.min_rtt(), SimTime::from_seconds(0.1));
-  EXPECT_LE(est.max_rtt(), SimTime::from_seconds(0.15));
-}
-
-TEST(RttEstimator, LossRate) {
-  RttEstimator est;
-  for (int i = 0; i < 8; ++i) est.add_sample(SimTime::millis(100));
-  for (int i = 0; i < 2; ++i) est.add_loss();
-  EXPECT_DOUBLE_EQ(est.loss_rate(), 0.2);
-}
-
 TEST(RttEstimator, RtoFollowsRfc6298) {
   RttEstimator est;
   EXPECT_EQ(est.rto(), SimTime::seconds(3));  // initial
@@ -114,60 +93,6 @@ TEST(RttEstimator, RtoFollowsRfc6298) {
   // Many stable samples shrink variance; floor at 1 s applies.
   for (int i = 0; i < 1000; ++i) est.add_sample(SimTime::millis(100));
   EXPECT_NEAR(est.rto().as_seconds(), 1.0, 0.05);
-}
-
-TEST(TimeoutPolicy, FixedConflatesBothTimers) {
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
-  const auto d = policy.decide(nullptr);
-  EXPECT_EQ(d.retransmit_after, SimTime::seconds(3));
-  EXPECT_EQ(d.give_up_after, SimTime::seconds(3));
-  EXPECT_NE(policy.name().find("fixed"), std::string::npos);
-}
-
-TEST(TimeoutPolicy, ListenLongerSeparatesTimers) {
-  ListenLongerPolicy policy;
-  const auto d = policy.decide(nullptr);
-  EXPECT_EQ(d.retransmit_after, SimTime::seconds(3));
-  EXPECT_EQ(d.give_up_after, SimTime::seconds(60));
-}
-
-TEST(TimeoutPolicy, QuantileAdaptiveColdStart) {
-  QuantileAdaptivePolicy policy;
-  const auto d = policy.decide(nullptr);
-  EXPECT_EQ(d.retransmit_after, SimTime::seconds(3));
-
-  RttEstimator sparse;
-  sparse.add_sample(SimTime::millis(100));
-  EXPECT_EQ(policy.decide(&sparse).retransmit_after, SimTime::seconds(3));
-}
-
-TEST(TimeoutPolicy, QuantileAdaptiveScalesP99) {
-  QuantileAdaptivePolicy policy{/*multiplier=*/2.0};
-  RttEstimator est;
-  for (int i = 0; i < 1000; ++i) est.add_sample(SimTime::seconds(1));
-  const auto d = policy.decide(&est);
-  EXPECT_NEAR(d.retransmit_after.as_seconds(), 2.0, 0.01);
-  EXPECT_EQ(d.give_up_after, SimTime::seconds(60));
-}
-
-TEST(TimeoutPolicy, QuantileAdaptiveClampsToFloorAndGiveUp) {
-  QuantileAdaptivePolicy policy{1.5, SimTime::seconds(3), SimTime::seconds(60),
-                                SimTime::millis(500)};
-  RttEstimator fast;
-  for (int i = 0; i < 100; ++i) fast.add_sample(SimTime::millis(10));
-  EXPECT_EQ(policy.decide(&fast).retransmit_after, SimTime::millis(500));
-
-  RttEstimator slow;
-  for (int i = 0; i < 100; ++i) slow.add_sample(SimTime::seconds(100));
-  EXPECT_EQ(policy.decide(&slow).retransmit_after, SimTime::seconds(60));
-}
-
-TEST(TimeoutPolicy, Rfc6298UsesEstimator) {
-  Rfc6298Policy policy;
-  EXPECT_EQ(policy.decide(nullptr).retransmit_after, SimTime::seconds(3));
-  RttEstimator est;
-  est.add_sample(SimTime::seconds(2));
-  EXPECT_NEAR(policy.decide(&est).retransmit_after.as_seconds(), 6.0, 1e-6);
 }
 
 analysis::TimeoutMatrix paper_matrix() {

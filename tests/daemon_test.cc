@@ -1,5 +1,5 @@
 // turtle::daemon — timer wheel ordering and cancellation, event-loop
-// deferred/timer semantics under fake time, and the adaptive idle reaper.
+// deferred/timer semantics under fake time, and the idle reaper.
 //
 // Everything here runs on fabricated clocks: the wheel takes absolute
 // microseconds from the caller, and the event loop's ClockFn is swapped
@@ -149,9 +149,9 @@ TEST(IdleGovernor, StalledSessionReapedActiveOneSurvives) {
   obs::Registry registry;
   IdleConfig config;
   config.registry = &registry;
-  config.min_idle_us = 1'000'000;   // clamp band: 1s..60s
-  config.max_idle_us = 60'000'000;
+  config.idle_us = 5'000'000;
   IdleGovernor governor{wheel, config};
+  EXPECT_EQ(governor.idle_allowance_us(), config.idle_us);
 
   std::vector<std::uint64_t> reaped;
   std::uint64_t now = 0;
@@ -159,20 +159,18 @@ TEST(IdleGovernor, StalledSessionReapedActiveOneSurvives) {
   governor.add(2, now, [&] { reaped.push_back(2); });
   EXPECT_EQ(governor.tracked(), 2u);
 
-  // Session 1 chats every 200ms; session 2 stalls after t=0. The fast
-  // inter-arrival gaps train the estimator, but the clamp floor keeps the
-  // allowance >= 1s.
+  // Session 1 chats every 200ms; session 2 stalls after t=0. Chatty
+  // traffic does not move the allowance.
   for (int i = 0; i < 20; ++i) {
     now += 200'000;
     governor.touch(1, now);
     wheel.advance(now);
   }
-  EXPECT_GE(governor.idle_allowance_us(), config.min_idle_us);
-  EXPECT_LE(governor.idle_allowance_us(), config.max_idle_us);
+  EXPECT_EQ(governor.idle_allowance_us(), config.idle_us);
   EXPECT_TRUE(reaped.empty()) << "active traffic must not reap anyone";
 
   // Let the stalled session's deadline lapse; session 1 keeps talking.
-  const std::uint64_t horizon = now + config.max_idle_us + 1;
+  const std::uint64_t horizon = now + config.idle_us + 1;
   while (now < horizon) {
     now += 200'000;
     governor.touch(1, now);
@@ -186,7 +184,7 @@ TEST(IdleGovernor, StalledSessionReapedActiveOneSurvives) {
   // Normal close stops tracking without counting a reap.
   governor.remove(1);
   EXPECT_EQ(governor.tracked(), 0u);
-  wheel.advance(now + 2 * config.max_idle_us);
+  wheel.advance(now + 2 * config.idle_us);
   EXPECT_EQ(governor.reaped(), 1u);
 }
 

@@ -46,7 +46,7 @@ TEST_F(DetectorFixture, FastHostNeverFlagsOutage) {
   hosts::Host host{w.ctx, target, plain_profile(SimTime::millis(50)), util::Prng{1}};
   resolver.put(target, &host);
 
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(3)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();
@@ -60,7 +60,7 @@ TEST_F(DetectorFixture, FastHostNeverFlagsOutage) {
 }
 
 TEST_F(DetectorFixture, DeadTargetDeclaredOutEveryRound) {
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(3)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();
@@ -76,7 +76,7 @@ TEST_F(DetectorFixture, FixedPolicyFalselyFlagsSlowHost) {
   hosts::Host host{w.ctx, target, plain_profile(SimTime::seconds(10)), util::Prng{1}};
   resolver.put(target, &host);
 
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(3)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();
@@ -89,7 +89,7 @@ TEST_F(DetectorFixture, ListenLongerSavesSlowHost) {
   hosts::Host host{w.ctx, target, plain_profile(SimTime::seconds(10)), util::Prng{1}};
   resolver.put(target, &host);
 
-  ListenLongerPolicy policy{SimTime::seconds(3), SimTime::seconds(60)};
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(60)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();
@@ -108,7 +108,7 @@ TEST_F(DetectorFixture, OutcomeRttRecorded) {
   hosts::Host host{w.ctx, target, plain_profile(SimTime::millis(100)), util::Prng{1}};
   resolver.put(target, &host);
 
-  ListenLongerPolicy policy;
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(60)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();
@@ -127,7 +127,7 @@ TEST_F(DetectorFixture, ChecksAreStaggeredAcrossTargets) {
   resolver.put(target, &h1);
   resolver.put(t2, &h2);
 
-  ListenLongerPolicy policy;
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(60)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target, t2});
   w.sim.run();
@@ -146,70 +146,19 @@ TEST_F(DetectorFixture, ChecksAreStaggeredAcrossTargets) {
 TEST_F(DetectorFixture, StateCostGrowsWithGiveUp) {
   // Dead target: with a fixed 3 s policy, state is held 3 s per probe;
   // with listen-longer it is held 60 s after the last probe.
-  FixedTimeoutPolicy fixed{SimTime::seconds(3)};
+  StaticPolicy fixed{SimTime::seconds(3), SimTime::seconds(3)};
   OutageDetector d1{w.sim, w.net, config, fixed};
   d1.start({target});
   w.sim.run();
 
   MiniWorld w2;
   w2.net.set_host_resolver(&resolver);
-  ListenLongerPolicy listen{SimTime::seconds(3), SimTime::seconds(60)};
+  StaticPolicy listen{SimTime::seconds(3), SimTime::seconds(60)};
   OutageDetector d2{w2.sim, w2.net, config, listen};
   d2.start({target});
   w2.sim.run();
 
   EXPECT_GT(d2.stats().state_probe_seconds, d1.stats().state_probe_seconds * 3);
-}
-
-// --- retry policies (turtle::fault resilience layer) -----------------------
-
-TEST_F(DetectorFixture, RetryPolicyOverridesAttemptBudget) {
-  // Dead target, 5-attempt backoff policy: the detector retries past the
-  // config's max_probes=3.
-  ExponentialBackoffPolicy retry{SimTime::seconds(1), 2.0, SimTime::seconds(8),
-                                 /*attempts=*/5, /*listen=*/SimTime::seconds(20)};
-  config.retry = &retry;
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
-  OutageDetector detector{w.sim, w.net, config, policy};
-  detector.start({target});
-  w.sim.run();
-
-  EXPECT_EQ(detector.stats().probes_sent, 3u * 5);
-  EXPECT_EQ(detector.stats().outages_declared, 3u);
-}
-
-TEST_F(DetectorFixture, ListenLongerRetryPolicySavesSlowHost) {
-  // The paper's recommendation as a RetryPolicy: retransmit every 3 s but
-  // listen 60 s. A 10 s host is saved even under a fixed timeout policy.
-  hosts::Host host{w.ctx, target, plain_profile(SimTime::seconds(10)), util::Prng{1}};
-  resolver.put(target, &host);
-
-  ListenLongerRetryPolicy retry;
-  config.retry = &retry;
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
-  OutageDetector detector{w.sim, w.net, config, policy};
-  detector.start({target});
-  w.sim.run();
-
-  EXPECT_EQ(detector.stats().outages_declared, 0u);
-  EXPECT_EQ(detector.stats().late_saves, 3u);
-}
-
-TEST(RetryPolicies, BackoffGrowsAndCaps) {
-  ExponentialBackoffPolicy p{SimTime::seconds(1), 2.0, SimTime::seconds(5), 6,
-                             SimTime::seconds(30)};
-  EXPECT_EQ(p.retry_delay(1), SimTime::seconds(1));
-  EXPECT_EQ(p.retry_delay(2), SimTime::seconds(2));
-  EXPECT_EQ(p.retry_delay(3), SimTime::seconds(4));
-  EXPECT_EQ(p.retry_delay(4), SimTime::seconds(5));  // capped
-  EXPECT_EQ(p.retry_delay(10), SimTime::seconds(5));
-}
-
-TEST(RetryPolicies, FactoryRejectsUnknownSpec) {
-  EXPECT_NE(make_retry_policy("fixed"), nullptr);
-  EXPECT_NE(make_retry_policy("backoff"), nullptr);
-  EXPECT_NE(make_retry_policy("listen-longer"), nullptr);
-  EXPECT_THROW((void)make_retry_policy("adaptive-ish"), std::invalid_argument);
 }
 
 // --- injected block outages ------------------------------------------------
@@ -234,7 +183,7 @@ TEST_F(OutageFaultFixture, OutageAtTimeZero) {
   fault::FaultInjector inj{w.sim, plan, util::Prng{9}, &reg};
   w.net.set_fault_hook(&inj);
 
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(3)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();
@@ -262,7 +211,7 @@ TEST_F(OutageFaultFixture, BackToBackOutagesShorterThanARound) {
   fault::FaultInjector inj{w.sim, plan, util::Prng{9}, &reg};
   w.net.set_fault_hook(&inj);
 
-  FixedTimeoutPolicy policy{SimTime::seconds(3)};
+  StaticPolicy policy{SimTime::seconds(3), SimTime::seconds(3)};
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();
@@ -323,7 +272,7 @@ TEST_F(DetectorFixture, AdaptivePolicyLearnsPerDestination) {
   resolver.put(target, &host);
 
   config.rounds = 8;
-  QuantileAdaptivePolicy policy{1.5};
+  QuantileAdaptivePolicy policy;
   OutageDetector detector{w.sim, w.net, config, policy};
   detector.start({target});
   w.sim.run();

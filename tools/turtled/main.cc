@@ -46,10 +46,12 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("max-connections", 1024));
   config.port_file = flags.get_string("port-file", "");
   config.metrics_out = flags.get_string("metrics-out", "");
-  config.idle.min_idle_us =
-      static_cast<std::uint64_t>(flags.get_int("min-idle-ms", 1000)) * 1000;
-  config.idle.max_idle_us =
-      static_cast<std::uint64_t>(flags.get_int("max-idle-ms", 60'000)) * 1000;
+  const std::int64_t idle_ms = flags.get_int("idle-ms", 60'000);
+  if (idle_ms <= 0) {
+    std::fprintf(stderr, "turtled: --idle-ms must be positive\n");
+    return 2;
+  }
+  config.idle.idle_us = static_cast<std::uint64_t>(idle_ms) * 1000;
 
   std::shared_ptr<const serve::OracleSnapshot> snapshot;
   const std::string snapshot_path = flags.get_string("snapshot", "");
