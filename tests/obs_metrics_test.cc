@@ -1,16 +1,19 @@
 // Tests for the obs metrics layer: counter/gauge/histogram semantics,
 // the 5 s bucket edge the paper's timeout argument hinges on, merge
 // associativity (the property that makes shard-order merges --jobs
-// independent), JSON/Prometheus output, and the wall.* exclusion rule.
+// independent), JSON/Prometheus output, the json_fixed byte table, and
+// the wall.* exclusion rule.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "obs/exemplar.h"
 #include "obs/flight.h"
+#include "obs/json.h"
 
 namespace turtle::obs {
 namespace {
@@ -200,6 +203,52 @@ TEST(Registry, JsonShapeIsStable) {
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"sum_us\": 5000000"), std::string::npos);
   EXPECT_EQ(os.str(), r.to_json());
+}
+
+TEST(Json, FixedNotationTable) {
+  // Every dump, exposition and reply line renders doubles through
+  // json_fixed; these are its exact bytes. Non-finite values render as 0,
+  // negative zero keeps its sign, and ties round half to even.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::string e300 =
+      "1000000000000000052504760255204420248704468581108159154915854115511802457988908195786371"
+      "3750804478640437044438328838781769425232353604305756447921847867069828483872009265758037"
+      "3783023379478809005936895323497079994508111903896764088007465274278014249457925878882005"
+      "6842838115669472196386865459400540160";
+  const struct {
+    double value;
+    int precision;
+    std::string want;
+  } cases[] = {
+      {0.0, 0, "0"},
+      {0.0, 3, "0.000"},
+      {0.0, 9, "0.000000000"},
+      {-0.0, 0, "-0"},
+      {-0.0, 6, "-0.000000"},
+      {nan, 0, "0"},
+      {nan, 6, "0.000000"},
+      {inf, 3, "0.000"},
+      {-inf, 9, "0.000000000"},
+      {5e-7, 3, "0.000"},
+      {5e-7, 6, "0.000000"},  // 5e-7 is stored just below the tie
+      {5e-7, 9, "0.000000500"},
+      {0.9999995, 0, "1"},
+      {0.9999995, 6, "1.000000"},  // stored just above the tie
+      {0.9999995, 9, "0.999999500"},
+      {0.0078125, 3, "0.008"},
+      {0.0078125, 6, "0.007812"},
+      {0.0234375, 6, "0.023438"},
+      {-2.5, 0, "-2"},
+      {1.0 / 3.0, 9, "0.333333333"},
+      {1e300, 0, e300},
+      {1e300, 3, e300 + ".000"},
+      {1e300, 9, e300 + ".000000000"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(json_fixed(c.value, c.precision), c.want) << c.value << " @" << c.precision;
+  }
+  EXPECT_EQ(json_fixed(0.5), "0.500000");  // default precision 6
 }
 
 TEST(Prometheus, ExpositionFormat) {

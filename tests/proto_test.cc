@@ -1,7 +1,8 @@
 // turtle::daemon::proto — wire-codec property and fuzz coverage: malformed
 // lines, oversized tokens, truncated datagrams, and pipelined TCP streams
 // must never crash the codec, and every rejection maps to a named error
-// code (what the daemon counts under daemon.proto.rejected).
+// code (what the daemon counts under daemon.proto.rejected). The QUERY
+// reply bytes are pinned exactly.
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -82,6 +83,39 @@ TEST(Proto, RejectionsCarryNamedCodes) {
     EXPECT_STRNE(parse_error_code(error), "");
     EXPECT_EQ(format_error(error).rfind("ERR ", 0), 0u);
   }
+}
+
+serve::LookupResult lookup_result(std::int64_t timeout_us, serve::LookupScope scope,
+                                  std::uint64_t samples, double confidence,
+                                  std::uint64_t version) {
+  serve::LookupResult result;
+  result.timeout = SimTime::micros(timeout_us);
+  result.scope = scope;
+  result.samples = samples;
+  result.confidence = confidence;
+  result.version = version;
+  return result;
+}
+
+TEST(Proto, QueryResponseBytesArePinned) {
+  // The reply bytes clients parse: every scope, the confidence extremes,
+  // and exact binary ties at the 7th decimal (0.0078125 = 1/128 rounds
+  // half-to-even down, 0.0234375 = 3/128 up).
+  using serve::LookupScope;
+  EXPECT_EQ(format_query_response(lookup_result(1'234'567, LookupScope::kBlock, 160, 1.0, 7)),
+            "OK QUERY timeout_us=1234567 scope=block samples=160 confidence=1.000000 version=7");
+  EXPECT_EQ(format_query_response(lookup_result(3'000'000, LookupScope::kAs, 48, 0.5, 2)),
+            "OK QUERY timeout_us=3000000 scope=as samples=48 confidence=0.500000 version=2");
+  EXPECT_EQ(format_query_response(lookup_result(5'000'000, LookupScope::kGlobal, 0, 0.0, 0)),
+            "OK QUERY timeout_us=5000000 scope=global samples=0 confidence=0.000000 version=0");
+  EXPECT_EQ(format_query_response(lookup_result(812'000, LookupScope::kBlock, 16, 0.0078125, 1)),
+            "OK QUERY timeout_us=812000 scope=block samples=16 confidence=0.007812 version=1");
+  EXPECT_EQ(format_query_response(lookup_result(2'250'001, LookupScope::kAs, 1, 0.0234375, 3)),
+            "OK QUERY timeout_us=2250001 scope=as samples=1 confidence=0.023438 version=3");
+  EXPECT_EQ(format_query_response(lookup_result(60'000'000, LookupScope::kGlobal, 1'000'000,
+                                                0.75 * 1e6 / (1e6 + 16), UINT64_MAX)),
+            "OK QUERY timeout_us=60000000 scope=global samples=1000000 confidence=0.749988 "
+            "version=18446744073709551615");
 }
 
 TEST(Proto, TruncatedDatagramsNeverCrash) {
