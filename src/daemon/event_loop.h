@@ -84,7 +84,7 @@ class EventLoop {
 
   /// Runs after each iteration's socket dispatch and deferred drain — the
   /// daemon pumps its transport here so a whole poll cycle's worth of
-  /// requests executes as one batch.
+  /// requests executes as one batch, then writes each connection once.
   void set_post_dispatch(std::function<void()> hook) { post_dispatch_ = std::move(hook); }
 
   /// Arms a timer on the wheel at absolute `deadline_us` (loop clock).

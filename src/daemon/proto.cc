@@ -163,7 +163,9 @@ std::optional<ParsedRequest> parse_request(std::string_view line, ParseError& er
 }
 
 std::string format_query_response(const serve::LookupResult& result) {
-  std::string out = "OK QUERY timeout_us=";
+  std::string out;
+  out.reserve(128);  // one allocation: a reply tops out near 130 bytes
+  out += "OK QUERY timeout_us=";
   out += std::to_string(result.timeout.as_micros());
   out += " scope=";
   out += serve::lookup_scope_name(result.scope);

@@ -1,8 +1,11 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <system_error>
+
+#include "util/check.h"
 
 namespace turtle::obs {
 
@@ -35,10 +38,13 @@ std::string json_quote(std::string_view s) { return "\"" + json_escape(s) + "\""
 
 std::string json_fixed(double value, int precision) {
   if (!std::isfinite(value)) value = 0;
-  std::ostringstream os;
-  os.precision(precision);
-  os << std::fixed << value;
-  return os.str();
+  // A sign, DBL_MAX's 309 integer digits and the point leave room for
+  // 200 fraction digits.
+  char buf[512];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed, precision);
+  TURTLE_CHECK(ec == std::errc{}) << "json_fixed precision " << precision;
+  return std::string(buf, end);
 }
 
 }  // namespace turtle::obs

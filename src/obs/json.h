@@ -21,8 +21,9 @@ namespace turtle::obs {
 [[nodiscard]] std::string json_quote(std::string_view s);
 
 /// Fixed-notation double (no exponent surprises), `precision` digits
-/// after the decimal point. NaN/inf render as 0 — JSON has no spelling
-/// for them and a silent null would break flat diffing.
+/// after the decimal point (at most 200), rounded half to even like
+/// printf's %.*f. NaN/inf render as 0 — JSON has no spelling for them and
+/// a silent null would break flat diffing.
 [[nodiscard]] std::string json_fixed(double value, int precision = 6);
 
 }  // namespace turtle::obs
