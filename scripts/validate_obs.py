@@ -24,12 +24,15 @@ Checks:
     classified and either skipped by the loader or passed through
     silently. A missing counter counts as zero, so the equations also
     hold for plans that only use some fault kinds;
-  * with --serve (a bench/serve_loadgen run), the serving ledger closes:
-    every offered request is served, shed (with an attributed reason), or
-    still queued at finalize; cache hits + misses == lookups; each lookup
-    is answered by exactly one scope tier; the latency histogram holds
-    one observation per served request; and a crashed server recovered its
-    snapshot at least once (file reload or log rebuild);
+  * with --serve, the serving ledger closes and each lookup is answered by
+    exactly one scope tier. For a bench/serve_loadgen run: every offered
+    request is served, shed (with an attributed reason), or still queued
+    at finalize; cache hits + misses == lookups; the latency histogram
+    holds one observation per served request; and a crashed server
+    recovered its snapshot at least once (file reload or log rebuild).
+    For a turtled dump (it has daemon.proto.queries): every QUERY the
+    daemon parsed is offered, offered == served + shed, lookups == served,
+    and serve.timeout_answered holds one observation per served query;
   * with --snapshot (a snapshot-v1 file from micro_snapshot/serve_loadgen
     --snapshot-out), the file itself is audited with an independent
     CRC-64/XZ implementation: magic, version, header checksum, body
@@ -170,6 +173,15 @@ def validate_serve(metrics):
           "serve: no serve.* counters in a --serve run")
     c = lambda name: counters.get(name, 0)
 
+    # One scope tier answers each lookup.
+    check(c("serve.scope_block") + c("serve.scope_as") + c("serve.scope_global")
+          == c("serve.lookups"),
+          "serve: scope counters do not sum to serve.lookups")
+
+    if "daemon.proto.queries" in counters:
+        validate_daemon_serve(metrics)
+        return
+
     # The admission ledger: nothing offered is ever silently dropped.
     check(c("serve.served") + c("serve.shed") + c("serve.queued") == c("serve.offered"),
           f"serve: served {c('serve.served')} + shed {c('serve.shed')} + "
@@ -178,13 +190,10 @@ def validate_serve(metrics):
           == c("serve.shed"),
           "serve: shed reasons do not sum to serve.shed")
 
-    # The execution ledger: one cache consult and one scope tier per lookup.
+    # The execution ledger: one cache consult per lookup.
     check(c("serve.cache_hits") + c("serve.cache_misses") == c("serve.lookups"),
           f"serve: cache hits {c('serve.cache_hits')} + misses "
           f"{c('serve.cache_misses')} != lookups {c('serve.lookups')}")
-    check(c("serve.scope_block") + c("serve.scope_as") + c("serve.scope_global")
-          == c("serve.lookups"),
-          "serve: scope counters do not sum to serve.lookups")
 
     # One latency observation per served request.
     latency = metrics.get("histograms", {}).get("serve.latency", {})
@@ -197,6 +206,25 @@ def validate_serve(metrics):
     if c("fault.serve.crashes") > 0:
         check(c("serve.snapshot_rebuilds") + c("serve.snapshot_reloads") >= 1,
               "serve: server crashed but never reloaded or rebuilt a snapshot")
+
+
+def validate_daemon_serve(metrics):
+    """turtled answers each QUERY from its snapshot as it reads it: no
+    queue, cache or latency model, so its ledger is the wire's."""
+    counters = metrics["counters"]
+    c = lambda name: counters.get(name, 0)
+    check(c("serve.offered") == c("daemon.proto.queries"),
+          f"serve: offered {c('serve.offered')} != daemon.proto.queries "
+          f"{c('daemon.proto.queries')}")
+    check(c("serve.served") + c("serve.shed") == c("serve.offered"),
+          f"serve: served {c('serve.served')} + shed {c('serve.shed')} != "
+          f"offered {c('serve.offered')}")
+    check(c("serve.lookups") == c("serve.served"),
+          f"serve: lookups {c('serve.lookups')} != served {c('serve.served')}")
+    answered = metrics.get("histograms", {}).get("serve.timeout_answered", {})
+    check(answered.get("count", 0) == c("serve.served"),
+          f"serve: timeout_answered count {answered.get('count', 0)} != "
+          f"served {c('serve.served')}")
 
 
 # --- flight-recorder dump audit (see src/obs/flight.h) -----------------
@@ -456,7 +484,8 @@ def main():
     parser.add_argument("--fault", action="store_true",
                         help="the run used --fault-plan: check fault.* reconciliation")
     parser.add_argument("--serve", action="store_true",
-                        help="a serve_loadgen run: check the serve.* accounting ledger")
+                        help="a serve_loadgen run or a turtled dump: check the serve.* "
+                             "accounting ledger")
     parser.add_argument("--policy", action="store_true",
                         help="a policy_tournament run: check every policy.* "
                              "decision ledger closes")

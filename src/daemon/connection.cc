@@ -3,13 +3,16 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <utility>
-#include <vector>
 
 #include "daemon/daemon.h"
-#include "util/check.h"
 
 namespace turtle::daemon {
+namespace {
+
+/// Bytes taken from the socket per read() call.
+constexpr std::size_t kReadChunk = 4096;
+
+}  // namespace
 
 Connection::Connection(Daemon& daemon, std::uint64_t id, int fd)
     : daemon_{daemon},
@@ -32,12 +35,12 @@ void Connection::on_ready(unsigned ready) {
 }
 
 void Connection::handle_read() {
-  std::vector<char> buf(daemon_.config().read_chunk);
+  char buf[kReadChunk];
   while (!dead_) {
-    const ssize_t n = ::read(event_.fd(), buf.data(), buf.size());
+    const ssize_t n = ::read(event_.fd(), buf, sizeof buf);
     if (n > 0) {
       daemon_.touch_idle(id_);
-      splitter_.feed(std::string_view{buf.data(), static_cast<std::size_t>(n)},
+      splitter_.feed(std::string_view{buf, static_cast<std::size_t>(n)},
                      [this](std::string_view line) { on_line(line); },
                      [this] { daemon_.on_line_overflow(*this); });
       continue;
@@ -60,41 +63,17 @@ void Connection::on_line(std::string_view line) {
   daemon_.dispatch_line(*this, line);
 }
 
-std::uint64_t Connection::reserve_slot() {
-  responses_.emplace_back(std::nullopt);
-  return next_slot_++;
-}
-
-void Connection::fill_slot(std::uint64_t slot, std::string line) {
+void Connection::push_response(std::string_view line) {
   if (dead_) return;
-  TURTLE_CHECK_GE(slot, flushed_slots_);
-  const std::size_t index = static_cast<std::size_t>(slot - flushed_slots_);
-  TURTLE_CHECK_LT(index, responses_.size());
-  TURTLE_CHECK(!responses_[index].has_value()) << "slot " << slot << " filled twice";
-  responses_[index] = std::move(line);
-  pump_responses();
-}
-
-void Connection::push_response(std::string line) {
-  const std::uint64_t slot = reserve_slot();
-  fill_slot(slot, std::move(line));
-}
-
-void Connection::pump_responses() {
   const bool was_empty = write_buffer_.empty();
-  while (!responses_.empty() && responses_.front().has_value()) {
-    write_buffer_ += *responses_.front();
-    write_buffer_ += '\n';
-    responses_.pop_front();
-    ++flushed_slots_;
-  }
-  const std::size_t limit = daemon_.config().max_write_buffer;
-  if (write_buffer_.size() - write_offset_ > limit) {
+  write_buffer_ += line;
+  write_buffer_ += '\n';
+  if (write_buffer_.size() - write_offset_ > kMaxWriteBuffer) {
     // The cutoff is for bytes the socket refused, not for a deep batch
     // this iteration has not offered yet: write first, then judge.
     try_write();
     if (dead_) return;
-    if (write_buffer_.size() - write_offset_ > limit) {
+    if (write_buffer_.size() - write_offset_ > kMaxWriteBuffer) {
       daemon_.close_connection(id_, Daemon::CloseReason::kBackpressure);
       return;
     }
@@ -107,7 +86,7 @@ void Connection::pump_responses() {
 bool Connection::flush() {
   if (dead_) return true;
   try_write();
-  return dead_ || (write_offset_ == write_buffer_.size() && responses_.empty());
+  return dead_ || write_offset_ == write_buffer_.size();
 }
 
 void Connection::try_write() {
@@ -126,7 +105,7 @@ void Connection::try_write() {
   if (write_offset_ == write_buffer_.size()) {
     write_buffer_.clear();
     write_offset_ = 0;
-    if (close_after_flush_ && responses_.empty()) {
+    if (close_after_flush_) {
       daemon_.close_connection(id_, Daemon::CloseReason::kPeer);
       return;
     }

@@ -1,28 +1,22 @@
 // One accepted TCP client: bounded read buffer through the line splitter,
-// ordered response slots, and a write buffer the daemon flushes once per
-// loop iteration.
+// and a write buffer the daemon flushes once per loop iteration.
 //
-// Response ordering: a pipelined client may have a QUERY (answered
-// asynchronously after the transport pumps) followed by a STATS (answered
-// synchronously). Replies must leave in request order, so each request
-// reserves a slot in a FIFO of pending responses; slots fill in any order
-// and only the leading run of filled slots moves into the write buffer.
+// Every request is answered inline as its line is read, so replies enter
+// the write buffer in request order with nothing pending in between.
 //
-// Writes are coalesced: filling a slot does not write. The first bytes
-// into an empty write buffer register the connection with the daemon,
-// which calls try_write() after the iteration's pump, so a pipelined
+// Writes are coalesced: a reply does not write. The first bytes into an
+// empty write buffer register the connection with the daemon, which
+// calls try_write() once the iteration's reads are done, so a pipelined
 // batch leaves in one write() rather than one per answer.
 //
-// Memory is bounded end to end: line splitter <= kMaxLineBytes, unfilled
-// slots <= the server's queue (the daemon pumps a full queue, which fills
-// them), unwritten bytes <= max_write_buffer. A buffer that grows past it
-// is offered to the socket at once; a connection whose socket still
-// refuses more than that is dropped and counted, never ballooned.
+// Memory is bounded end to end: line splitter <= kMaxLineBytes, unwritten
+// bytes <= kMaxWriteBuffer. A buffer that grows past it is offered to the
+// socket at once; a connection whose socket still refuses more than that
+// is dropped and counted, never ballooned.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -33,6 +27,11 @@ namespace turtle::daemon {
 
 class Daemon;
 
+/// Write-buffer cutoff per connection, in reply bytes the socket refused:
+/// a client slower than its answers is dropped and counted
+/// (daemon.conn.dropped_backpressure).
+inline constexpr std::size_t kMaxWriteBuffer = 256 * 1024;
+
 class Connection {
  public:
   /// Takes ownership of `fd` (nonblocking, cloexec).
@@ -41,20 +40,13 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  [[nodiscard]] std::uint64_t id() const { return id_; }
+  /// Appends one reply line to the write buffer. The bytes leave in the
+  /// daemon's try_write() call after this iteration's reads, or here once
+  /// more than kMaxWriteBuffer of them are unwritten.
+  void push_response(std::string_view line);
 
-  /// Reserves the next ordered response slot (async QUERY path).
-  std::uint64_t reserve_slot();
-  /// Fills a reserved slot and moves every leading filled slot into the
-  /// write buffer. The bytes leave in the daemon's try_write() call after
-  /// this iteration's pump, or here once more than max_write_buffer of
-  /// them are unwritten.
-  void fill_slot(std::uint64_t slot, std::string line);
-  /// reserve + fill in one step (synchronous commands and errors).
-  void push_response(std::string line);
-
-  /// After every reserved slot is answered and written, close instead of
-  /// reading on (the QUIT path). Further inbound lines are ignored.
+  /// Once every reply is written, close instead of reading on (the QUIT
+  /// path). Further inbound lines are ignored.
   void request_close_after_flush() { close_after_flush_ = true; }
 
   /// Writes as much of the write buffer as the socket takes and arms
@@ -62,8 +54,7 @@ class Connection {
   /// for a connection with new output; EPOLLOUT calls it too.
   void try_write();
 
-  /// Attempts to drain the write buffer; true when nothing is pending:
-  /// no unwritten bytes and no unanswered slot.
+  /// Attempts to drain the write buffer; true when no byte is unwritten.
   bool flush();
 
   /// Immediately closes the socket; the object stays alive (in the
@@ -76,19 +67,12 @@ class Connection {
   void on_ready(unsigned ready);
   void handle_read();
   void on_line(std::string_view line);
-  /// Moves the leading filled slots into the write buffer, applies the
-  /// max_write_buffer cutoff and registers this iteration's try_write().
-  void pump_responses();
   /// Recomputes epoll interest from buffer state and liveness.
   void update_interest();
 
   Daemon& daemon_;
   std::uint64_t id_;
   proto::LineSplitter splitter_;
-
-  std::uint64_t next_slot_ = 0;     ///< next slot id to hand out
-  std::uint64_t flushed_slots_ = 0; ///< slots already moved to the buffer
-  std::deque<std::optional<std::string>> responses_;
 
   std::string write_buffer_;
   std::size_t write_offset_ = 0;

@@ -14,41 +14,41 @@ namespace turtle::daemon {
 
 Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot> snapshot)
     : config_{std::move(config)},
-      registry_{config_.registry},
-      loop_{config_.loop},
-      transport_{[&]() {
-                   if (registry_ == nullptr) {
-                     owned_registry_ = std::make_unique<obs::Registry>();
-                     registry_ = owned_registry_.get();
-                   }
-                   serve::ServerConfig server = config_.server;
-                   server.registry = registry_;
-                   return server;
-                 }(),
-                 std::move(snapshot)},
+      snapshot_{std::move(snapshot)},
       idle_{loop_.wheel(),
             [&]() {
               IdleConfig idle = config_.idle;
-              idle.registry = registry_;
+              idle.registry = &registry_;
               return idle;
             }()} {
-  conn_accepted_ = &registry_->counter("daemon.conn.accepted");
-  conn_closed_ = &registry_->counter("daemon.conn.closed");
-  conn_rejected_ = &registry_->counter("daemon.conn.rejected_overload");
-  conn_dropped_ = &registry_->counter("daemon.conn.dropped_backpressure");
-  proto_requests_ = &registry_->counter("daemon.proto.requests");
-  proto_rejected_ = &registry_->counter("daemon.proto.rejected");
-  proto_queries_ = &registry_->counter("daemon.proto.queries");
-  proto_admin_ = &registry_->counter("daemon.proto.admin");
-  swap_failed_ = &registry_->counter("daemon.swap.failed");
-  udp_in_ = &registry_->counter("daemon.udp.datagrams_in");
-  udp_replies_ = &registry_->counter("daemon.udp.replies");
-  conn_open_ = &registry_->gauge("daemon.conn.open");
-  conn_high_water_ = &registry_->gauge("daemon.conn.high_water");
-  wall_request_us_ = &registry_->histogram("wall.daemon.request_us");
+  conn_accepted_ = &registry_.counter("daemon.conn.accepted");
+  conn_closed_ = &registry_.counter("daemon.conn.closed");
+  conn_rejected_ = &registry_.counter("daemon.conn.rejected_overload");
+  conn_dropped_ = &registry_.counter("daemon.conn.dropped_backpressure");
+  proto_requests_ = &registry_.counter("daemon.proto.requests");
+  proto_rejected_ = &registry_.counter("daemon.proto.rejected");
+  proto_queries_ = &registry_.counter("daemon.proto.queries");
+  proto_admin_ = &registry_.counter("daemon.proto.admin");
+  swap_failed_ = &registry_.counter("daemon.swap.failed");
+  udp_in_ = &registry_.counter("daemon.udp.datagrams_in");
+  udp_replies_ = &registry_.counter("daemon.udp.replies");
+  conn_open_ = &registry_.gauge("daemon.conn.open");
+  conn_high_water_ = &registry_.gauge("daemon.conn.high_water");
+  offered_ = &registry_.counter("serve.offered");
+  served_ = &registry_.counter("serve.served");
+  shed_ = &registry_.counter("serve.shed");
+  lookups_ = &registry_.counter("serve.lookups");
+  scope_block_ = &registry_.counter("serve.scope_block");
+  scope_as_ = &registry_.counter("serve.scope_as");
+  scope_global_ = &registry_.counter("serve.scope_global");
+  batches_ = &registry_.counter("serve.batches");
+  snapshot_swaps_ = &registry_.counter("serve.snapshot_swaps");
+  snapshot_version_ = &registry_.gauge("serve.snapshot_version");
+  snapshot_version_->set(static_cast<std::int64_t>(snapshot_version()));
+  timeout_answered_ = &registry_.histogram("serve.timeout_answered");
   // The reaped_idle counter exists from startup even if nothing is ever
   // reaped — ledger series show their zeros.
-  registry_->counter("daemon.conn.reaped_idle");
+  registry_.counter("daemon.conn.reaped_idle");
 
   tcp_listener_ = std::make_unique<TcpListener>(
       loop_, open_tcp_listener(config_.bind_addr, config_.tcp_port),
@@ -136,28 +136,10 @@ void Daemon::dispatch_line(Connection& conn, std::string_view line) {
     return;
   }
   switch (parsed->command) {
-    case proto::Command::kQuery: {
+    case proto::Command::kQuery:
       proto_queries_->inc();
-      const std::uint64_t slot = conn.reserve_slot();
-      const std::uint64_t conn_id = conn.id();
-      const std::uint64_t start_us = loop_.now_us();
-      const bool admitted = submit_query(
-          parsed->query,
-          [this, conn_id, slot, start_us](const serve::LookupResult& result,
-                                          SimTime /*latency*/) {
-            wall_request_us_->observe_us(
-                static_cast<std::int64_t>(loop_.now_us() - start_us));
-            const auto it = connections_.find(conn_id);
-            if (it == connections_.end()) return;  // closed before the answer
-            it->second->fill_slot(slot, proto::format_query_response(result));
-          });
-      if (!admitted) {
-        // The shed is already in the serve.shed_* ledger; the wire just
-        // reports it.
-        conn.fill_slot(slot, proto::format_error("overloaded", "request shed"));
-      }
+      conn.push_response(answer_query(parsed->query));
       return;
-    }
     case proto::Command::kStats:
       proto_admin_->inc();
       conn.push_response(stats_line());
@@ -216,21 +198,10 @@ void Daemon::handle_udp_datagram(const sockaddr_in& peer, std::string_view paylo
     return;
   }
   switch (parsed->command) {
-    case proto::Command::kQuery: {
+    case proto::Command::kQuery:
       proto_queries_->inc();
-      const std::uint64_t start_us = loop_.now_us();
-      const bool admitted = submit_query(
-          parsed->query,
-          [this, peer, start_us](const serve::LookupResult& result, SimTime /*latency*/) {
-            wall_request_us_->observe_us(
-                static_cast<std::int64_t>(loop_.now_us() - start_us));
-            udp_out_.push_back(UdpReply{peer, proto::format_query_response(result)});
-          });
-      if (!admitted) {
-        udp_out_.push_back(UdpReply{peer, proto::format_error("overloaded", "request shed")});
-      }
+      udp_out_.push_back(UdpReply{peer, answer_query(parsed->query)});
       return;
-    }
     case proto::Command::kStats:
       proto_admin_->inc();
       udp_out_.push_back(UdpReply{peer, stats_line()});
@@ -251,18 +222,39 @@ void Daemon::handle_udp_datagram(const sockaddr_in& peer, std::string_view paylo
   }
 }
 
-bool Daemon::submit_query(const serve::Request& query,
-                          serve::OracleServer::Callback callback) {
-  if (transport_.server().queue_depth() >= config_.server.queue_capacity) transport_.pump();
-  return transport_.submit(query, std::move(callback));
+std::string Daemon::answer_query(const serve::Request& query) {
+  offered_->inc();
+  serve::LookupResult result;
+  if (snapshot_ != nullptr) {
+    result = snapshot_->lookup(query.addr, query.addr_coverage, query.ping_coverage,
+                               query.min_scope);
+  }
+  lookups_->inc();
+  switch (result.scope) {
+    case serve::LookupScope::kBlock:
+      scope_block_->inc();
+      break;
+    case serve::LookupScope::kAs:
+      scope_as_->inc();
+      break;
+    case serve::LookupScope::kGlobal:
+      scope_global_->inc();
+      break;
+  }
+  timeout_answered_->observe(result.timeout);
+  served_->inc();
+  if (!answered_this_iteration_) {
+    answered_this_iteration_ = true;
+    batches_->inc();
+  }
+  return proto::format_query_response(result);
 }
 
 void Daemon::post_dispatch() {
-  // Execute this iteration's admitted requests as one batched burst, then
-  // give each connection with new output one write() and ship the
-  // datagram answers the burst produced. try_write() may close its
-  // connection (the QUIT path), so each id is looked up afresh.
-  transport_.pump();
+  // Give each connection with new output one write() and ship the
+  // datagram answers. try_write() may close its connection (the QUIT
+  // path), so each id is looked up afresh.
+  answered_this_iteration_ = false;
   for (const std::uint64_t id : pending_writes_) {
     if (const auto it = connections_.find(id); it != connections_.end()) it->second->try_write();
   }
@@ -287,7 +279,6 @@ void Daemon::flush_udp() {
 }
 
 std::string Daemon::stats_line() {
-  serve::OracleServer& server = transport_.server();
   std::string out = "OK STATS";
   const auto field = [&out](std::string_view key, std::uint64_t value) {
     out += ' ';
@@ -295,44 +286,43 @@ std::string Daemon::stats_line() {
     out += '=';
     out += std::to_string(value);
   };
-  field("offered", registry_->counter("serve.offered").value());
-  field("served", registry_->counter("serve.served").value());
-  field("shed", registry_->counter("serve.shed").value());
-  field("queue_depth", server.queue_depth());
+  field("offered", offered_->value());
+  field("served", served_->value());
+  field("shed", shed_->value());
+  field("queue_depth", 0);  // kept for the stable key set: nothing queues
   field("conns", connections_.size());
   field("accepted", conn_accepted_->value());
   field("reaped_idle", idle_.reaped());
   field("proto_requests", proto_requests_->value());
   field("proto_rejected", proto_rejected_->value());
-  field("snapshot_version", server.snapshot() != nullptr ? server.snapshot()->version() : 0);
-  field("swaps", registry_->counter("serve.snapshot_swaps").value());
+  field("snapshot_version", snapshot_version());
+  field("swaps", snapshot_swaps_->value());
   return out;
 }
 
 std::string Daemon::version_line() {
-  serve::OracleServer& server = transport_.server();
   std::string out = "OK VERSION proto=";
   out += std::to_string(proto::kProtoVersion);
   out += " snapshot=";
-  out += std::to_string(server.snapshot() != nullptr ? server.snapshot()->version() : 0);
+  out += std::to_string(snapshot_version());
   return out;
 }
 
 std::string Daemon::do_swap(const std::string& path) {
   std::string error;
-  const std::shared_ptr<const serve::OracleSnapshot> next =
-      serve::OracleSnapshot::map(path, &error, registry_);
+  std::shared_ptr<const serve::OracleSnapshot> next =
+      serve::OracleSnapshot::map(path, &error, &registry_);
   if (next == nullptr) {
     swap_failed_->inc();
     return proto::format_error("swap-failed", error);
   }
-  const std::uint64_t version = next->version();
-  const std::size_t blocks = next->block_count();
-  transport_.server().swap_snapshot(std::move(next));
+  snapshot_ = std::move(next);
+  snapshot_swaps_->inc();
+  snapshot_version_->set(static_cast<std::int64_t>(snapshot_version()));
   std::string out = "OK SWAP version=";
-  out += std::to_string(version);
+  out += std::to_string(snapshot_->version());
   out += " blocks=";
-  out += std::to_string(blocks);
+  out += std::to_string(snapshot_->block_count());
   return out;
 }
 
@@ -342,9 +332,6 @@ void Daemon::begin_shutdown() {
   tcp_listener_->close();
   // Stop reading new datagrams; the socket stays open for queued replies.
   udp_event_->schedule(0);
-  // This drain runs before the iteration's post_dispatch pump: answer
-  // what was already read, so the first flush sees every reply.
-  transport_.pump();
   shutdown_tick(0);
 }
 
@@ -367,16 +354,12 @@ void Daemon::shutdown_tick(int attempt) {
 }
 
 void Daemon::finish_shutdown() {
-  // Answer what is still queued while the UDP socket can carry it. Then
-  // close the ledger: offered == served + shed + queued must hold in the
-  // dump validate_obs.py --serve checks.
-  transport_.pump();
+  // Ship the datagram answers while the UDP socket can carry them.
   flush_udp();
   while (!connections_.empty()) {
     close_connection(connections_.begin()->first, CloseReason::kShutdown);
   }
   udp_event_->close();
-  transport_.server().finalize();
   dump_metrics();
   graveyard_.clear();
   loop_.stop();
@@ -386,7 +369,7 @@ void Daemon::dump_metrics() {
   if (config_.metrics_out.empty()) return;
   std::ofstream os{config_.metrics_out, std::ios::trunc};
   TURTLE_CHECK(os.is_open()) << "cannot write metrics file " << config_.metrics_out;
-  registry_->write_json(os);
+  registry_.write_json(os);
 }
 
 }  // namespace turtle::daemon

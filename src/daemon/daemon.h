@@ -2,19 +2,16 @@
 //
 // Wiring (DESIGN §18): one EventLoop thread owns everything. A TcpListener
 // accepts line-protocol clients into Connection objects (TCP_NODELAY set);
-// a UDP socket serves one-datagram-one-request traffic; both feed parsed
-// requests into a NetTransport, which embeds the stock OracleServer on a
-// logical-time simulator. Once per loop iteration the transport pumps,
-// executing the iteration's requests as one batched burst and filling the
-// ordered response slots; then every connection with new output gets one
-// write(), and the datagram answers go out. A burst larger than the
-// server's queue is pumped mid-iteration rather than shed. Connections
-// silent for the idle window are reaped by an IdleGovernor. Admin
-// operations ride the same protocol: STATS snapshots the ledger, SWAP
-// hot-swaps a new snapshot file mid-traffic, QUIT (or SIGINT/SIGTERM)
-// runs the graceful drain — answer and flush what was read before it,
-// finalize the serving ledger so offered == served + shed + queued
-// closes, dump metrics, exit.
+// a UDP socket serves one-datagram-one-request traffic. Each request is
+// answered where its line is read: parse, OracleSnapshot::lookup, format,
+// and the reply enters its connection's write buffer (or the datagram
+// reply queue) in request order. Once per loop iteration every connection
+// with new output gets one write(), and the datagram answers go out.
+// Connections silent for the idle window are reaped by an IdleGovernor.
+// Admin operations ride the same protocol: STATS snapshots the ledger,
+// SWAP hot-swaps a new snapshot file mid-traffic, QUIT (or SIGINT/SIGTERM)
+// runs the graceful drain — flush the replies to what was read before it,
+// dump metrics, exit.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +27,6 @@
 #include "daemon/event_loop.h"
 #include "daemon/idle.h"
 #include "daemon/listener.h"
-#include "daemon/net_transport.h"
 #include "daemon/proto.h"
 #include "obs/metrics.h"
 #include "serve/oracle_snapshot.h"
@@ -42,22 +38,9 @@ struct DaemonConfig {
   std::uint16_t tcp_port = 0;  ///< 0 = ephemeral (port_file tells the truth)
   std::uint16_t udp_port = 0;
   /// Accepts beyond this are refused with `ERR overloaded` and counted
-  /// under daemon.conn.rejected_overload — connection-level shedding in
-  /// front of the server's own request-level shedding.
+  /// under daemon.conn.rejected_overload.
   std::size_t max_connections = 1024;
-  std::size_t read_chunk = 4096;
-  /// Write-buffer cutoff per connection, in bytes the socket refused; a
-  /// slower-than-its-answers client is dropped and counted
-  /// (daemon.conn.dropped_backpressure).
-  std::size_t max_write_buffer = 256 * 1024;
-
-  /// Serving brain configuration. `registry` is overridden with the
-  /// daemon's registry so serve.* and daemon.* share one dump.
-  serve::ServerConfig server;
-  IdleConfig idle;
-  EventLoop::Config loop;
-
-  obs::Registry* registry = nullptr;  ///< owned fallback when null
+  IdleConfig idle;  ///< `idle.registry` is overridden with the daemon's
 
   /// Written once listeners are bound: "tcp=<port>\nudp=<port>\n". The
   /// smoke test polls this to learn ephemeral ports.
@@ -68,6 +51,8 @@ struct DaemonConfig {
 
 class Daemon {
  public:
+  /// `snapshot` may be null: the daemon then answers zero-confidence
+  /// global defaults until a SWAP installs one.
   Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot> snapshot);
   ~Daemon();
 
@@ -80,19 +65,22 @@ class Daemon {
   [[nodiscard]] std::uint16_t tcp_port() const { return tcp_listener_->port(); }
   [[nodiscard]] std::uint16_t udp_port() const { return udp_port_; }
   [[nodiscard]] EventLoop& loop() { return loop_; }
-  [[nodiscard]] serve::OracleServer& server() { return transport_.server(); }
-  [[nodiscard]] obs::Registry& registry() { return *registry_; }
+  [[nodiscard]] obs::Registry& registry() { return registry_; }
+  /// Version of the serving snapshot; 0 when serving snapshotless.
+  [[nodiscard]] std::uint64_t snapshot_version() const {
+    return snapshot_ != nullptr ? snapshot_->version() : 0;
+  }
 
   // --- Connection plumbing (called by Connection) ---
 
   enum class CloseReason : std::uint8_t {
     kPeer,          ///< orderly close (peer EOF, QUIT flush, error)
     kReapedIdle,    ///< idle deadline fired (already counted by the governor)
-    kBackpressure,  ///< socket refused more than max_write_buffer bytes
+    kBackpressure,  ///< socket refused more than kMaxWriteBuffer bytes
     kShutdown,      ///< force-closed during the final drain
   };
 
-  /// One complete request line from `conn`: count, parse, dispatch.
+  /// One complete request line from `conn`: count, parse, answer.
   void dispatch_line(Connection& conn, std::string_view line);
   /// An oversized line: counted rejection + ERR, connection survives.
   void on_line_overflow(Connection& conn);
@@ -101,7 +89,7 @@ class Daemon {
   /// Closes and buries `id`'s connection (object freed after the current
   /// loop iteration).
   void close_connection(std::uint64_t id, CloseReason reason);
-  /// Queues `id`'s try_write() for after this iteration's pump; a
+  /// Queues `id`'s try_write() for the end of this iteration; a
   /// connection registers when bytes enter its empty write buffer.
   void schedule_write(std::uint64_t id) { pending_writes_.push_back(id); }
 
@@ -111,10 +99,9 @@ class Daemon {
   void on_accept(int fd);
   void on_udp_ready();
   void handle_udp_datagram(const sockaddr_in& peer, std::string_view payload);
-  /// Submits a parsed QUERY (TCP and UDP alike). A full server queue is
-  /// pumped first, so a burst larger than queue_capacity is answered, not
-  /// shed; the real backpressure is max_write_buffer.
-  bool submit_query(const serve::Request& query, serve::OracleServer::Callback callback);
+  /// Looks `query` up in the serving snapshot, counts it in the serve.*
+  /// ledger and returns its reply line (TCP and UDP alike).
+  [[nodiscard]] std::string answer_query(const serve::Request& query);
   void post_dispatch();
   void flush_udp();
 
@@ -128,11 +115,10 @@ class Daemon {
   void dump_metrics();
 
   DaemonConfig config_;
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_;
+  obs::Registry registry_;
 
   EventLoop loop_;
-  NetTransport transport_;
+  std::shared_ptr<const serve::OracleSnapshot> snapshot_;
   IdleGovernor idle_;
 
   std::unique_ptr<TcpListener> tcp_listener_;
@@ -145,16 +131,18 @@ class Daemon {
   /// from inside a connection's own dispatch must not free its stack.
   std::vector<std::unique_ptr<Connection>> graveyard_;
   /// Connections with new output this iteration (schedule_write), each
-  /// written once by post_dispatch after the pump.
+  /// written once by post_dispatch.
   std::vector<std::uint64_t> pending_writes_;
 
-  /// UDP replies queued until after the post-dispatch pump (sendto then).
+  /// UDP replies queued until post_dispatch (sendto then).
   struct UdpReply {
     sockaddr_in peer{};
     std::string line;
   };
   std::deque<UdpReply> udp_out_;
 
+  /// This iteration already answered a QUERY (counted in serve.batches).
+  bool answered_this_iteration_ = false;
   bool shutting_down_ = false;
 
   obs::Counter* conn_accepted_;          ///< "daemon.conn.accepted"
@@ -170,7 +158,19 @@ class Daemon {
   obs::Counter* udp_replies_;            ///< "daemon.udp.replies"
   obs::Gauge* conn_open_;                ///< "daemon.conn.open"
   obs::Gauge* conn_high_water_;          ///< "daemon.conn.high_water"
-  obs::Histogram* wall_request_us_;      ///< "wall.daemon.request_us" (quarantined)
+
+  // The serve.* ledger, counted where each QUERY is answered.
+  obs::Counter* offered_;                ///< "serve.offered"
+  obs::Counter* served_;                 ///< "serve.served"
+  obs::Counter* shed_;                   ///< "serve.shed" (always 0: nothing is shed)
+  obs::Counter* lookups_;                ///< "serve.lookups"
+  obs::Counter* scope_block_;            ///< "serve.scope_block"
+  obs::Counter* scope_as_;               ///< "serve.scope_as"
+  obs::Counter* scope_global_;           ///< "serve.scope_global"
+  obs::Counter* batches_;                ///< "serve.batches" (iterations that answered a QUERY)
+  obs::Counter* snapshot_swaps_;         ///< "serve.snapshot_swaps"
+  obs::Gauge* snapshot_version_;         ///< "serve.snapshot_version"
+  obs::Histogram* timeout_answered_;     ///< "serve.timeout_answered" (timeout_us per reply)
 };
 
 }  // namespace turtle::daemon

@@ -83,8 +83,8 @@ class EventLoop {
   void set_stop_hook(std::function<void()> hook) { stop_hook_ = std::move(hook); }
 
   /// Runs after each iteration's socket dispatch and deferred drain — the
-  /// daemon pumps its transport here so a whole poll cycle's worth of
-  /// requests executes as one batch, then writes each connection once.
+  /// daemon writes each connection with new replies once here, so a poll
+  /// cycle's worth of pipelined answers leaves in one write().
   void set_post_dispatch(std::function<void()> hook) { post_dispatch_ = std::move(hook); }
 
   /// Arms a timer on the wheel at absolute `deadline_us` (loop clock).

@@ -1,49 +1,36 @@
-// The network-side implementation of the serve::Transport seam.
+// Kept only for perfbench's replay step (perfbench/turtlebench/serving.cc),
+// which times submit + pump. turtled no longer uses this class; ROADMAP
+// item 2 deletes it together with that step.
 //
-// The daemon does not reimplement serving — it embeds the same
-// OracleServer the simulation uses, hosted on a private simulator whose
-// clock is *logical*: it advances only when pump() drains submitted work,
-// by exactly the modeled service time (batch overhead + per-request
-// cache hit/miss cost). That buys two things:
-//
-//   * every piece of serving machinery is reused verbatim — bounded
-//     queue, counted shedding, LRU working set, batching, hot swap,
-//     the whole serve.* ledger validate_obs.py --serve checks;
-//   * the ledger stays a pure function of the request byte stream. Two
-//     daemons fed the same requests in the same order produce identical
-//     serve.* dumps regardless of wall-clock jitter — the determinism
-//     boundary lives here, between the epoll loop (wall time, wall.*
-//     metrics only) and the serving brain (logical time).
-//
-// The event loop calls pump() once per poll iteration, so all requests
-// read in one iteration execute as one batched burst — the same batching
-// economics the simulator established.
+// It hosts the stock OracleServer on a private simulator whose clock is
+// logical: it advances only when pump() drains submitted work, by the
+// modeled service time (batch overhead + per-request cache hit/miss cost).
 #pragma once
 
 #include <memory>
 
 #include "serve/oracle_server.h"
 #include "serve/oracle_snapshot.h"
-#include "serve/transport.h"
 #include "sim/simulator.h"
 
 namespace turtle::daemon {
 
-class NetTransport final : public serve::Transport {
+class NetTransport {
  public:
-  /// `config.registry` should be the daemon's registry so serve.* and
-  /// daemon.* land in one dump. The embedded simulator deliberately gets
-  /// no registry: its sim.* engine counters would vary with poll timing.
+  /// The embedded simulator deliberately gets no registry: its sim.*
+  /// engine counters would vary with how requests are batched.
   NetTransport(serve::ServerConfig config,
                std::shared_ptr<const serve::OracleSnapshot> snapshot);
 
-  bool submit(const serve::Request& request, serve::OracleServer::Callback callback) override;
+  /// Submits one request; false iff the server shed it (the callback will
+  /// never fire).
+  bool submit(const serve::Request& request, serve::OracleServer::Callback callback);
 
   /// Drains the embedded simulator: every admitted request's batch runs
   /// and its callback fires before this returns.
-  void pump() override;
+  void pump();
 
-  [[nodiscard]] serve::OracleServer& server() override { return server_; }
+  [[nodiscard]] serve::OracleServer& server() { return server_; }
 
  private:
   sim::Simulator sim_;

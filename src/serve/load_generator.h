@@ -9,13 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/ipv4.h"
 #include "obs/metrics.h"
 #include "serve/oracle_server.h"
-#include "serve/transport.h"
 #include "sim/simulator.h"
 #include "util/prng.h"
 #include "util/sim_time.h"
@@ -50,14 +48,8 @@ struct LoadGenConfig {
 
 class LoadGenerator {
  public:
-  /// `rng` must be a substream dedicated to this generator. Requests go
-  /// through `transport` — the seam: the generator neither knows nor cares
-  /// whether the server is in-sim or behind the daemon's network backend.
-  LoadGenerator(sim::Simulator& sim, Transport& transport, LoadGenConfig config,
-                util::Prng rng);
-
-  /// Convenience for the common in-sim case: wraps `server` in an owned
-  /// SimTransport. Identical request path, byte-for-byte.
+  /// `rng` must be a substream dedicated to this generator. Requests are
+  /// submitted to `server`, hosted on `sim`, at the arrival's sim time.
   LoadGenerator(sim::Simulator& sim, OracleServer& server, LoadGenConfig config,
                 util::Prng rng);
 
@@ -75,19 +67,11 @@ class LoadGenerator {
   [[nodiscard]] const std::vector<std::int64_t>& latencies_us() const { return latencies_us_; }
 
  private:
-  /// Delegation target for the convenience constructor: binds transport_
-  /// to the owned SimTransport after it is moved into place.
-  LoadGenerator(sim::Simulator& sim, std::unique_ptr<SimTransport> owned, LoadGenConfig config,
-                util::Prng rng);
-
-  void init();
   void schedule_next();
   void fire();
 
   sim::Simulator& sim_;
-  /// Set only by the convenience constructor; transport_ then points at it.
-  std::unique_ptr<SimTransport> owned_transport_;
-  Transport& transport_;
+  OracleServer& server_;
   LoadGenConfig config_;
   util::Prng rng_;
   util::Prng sampler_;  ///< trace-sampling substream (fork 1 of `rng`)

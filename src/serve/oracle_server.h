@@ -129,19 +129,16 @@ class OracleServer {
   /// admitted as independent requests with no callback.
   ///
   /// Returns false iff the request was shed synchronously (server down,
-  /// queue full, or fault-injected drop) — the network backend turns that
-  /// into an immediate `ERR overloaded` reply while the serve.shed_*
-  /// accounting stays the single source of truth. True means the request
-  /// was admitted (or deferred by a fault-injected entry delay, in which
-  /// case it may still shed later without firing the callback — a
-  /// sim-only path; the daemon runs without a fault hook on admission).
+  /// queue full, or fault-injected drop); the serve.shed_* accounting is
+  /// the single source of truth. True means the request was admitted (or
+  /// deferred by a fault-injected entry delay, in which case it may still
+  /// shed later without firing the callback).
   bool submit(const Request& request, Callback callback) TURTLE_EXCLUDES(mu_);
 
   /// Atomically replaces the serving snapshot. Requests already dispatched
   /// keep the results computed against the old snapshot; the working-set
   /// cache is invalidated (its contents described the old aggregates).
-  /// Safe to call from an admin thread once the daemon backend lands: the
-  /// swap happens under mu_, the same lock the dispatch path holds.
+  /// The swap happens under mu_, the same lock the dispatch path holds.
   void swap_snapshot(std::shared_ptr<const OracleSnapshot> snapshot)
       TURTLE_EXCLUDES(mu_);
 
@@ -220,9 +217,8 @@ class OracleServer {
 
   /// Guards every piece of serving state below: the queue, the dispatch
   /// batch, the LRU working set, the snapshot pointer the swap path
-  /// replaces, and the crash-epoch guard. In-sim use is single-threaded
-  /// (every acquisition uncontended); the lock is the contract the
-  /// event-loop daemon and admin hot-swap threads will rely on.
+  /// replaces, and the crash-epoch guard. In-sim use is single-threaded,
+  /// so every acquisition is uncontended.
   mutable util::Mutex mu_;
   std::shared_ptr<const OracleSnapshot> snapshot_ TURTLE_GUARDED_BY(mu_);
   std::deque<Pending> queue_ TURTLE_GUARDED_BY(mu_);

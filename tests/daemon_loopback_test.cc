@@ -1,7 +1,8 @@
 // turtle::daemon — an in-process turtled on ephemeral loopback ports,
 // driven through real sockets: a pipelined batch split across two writes,
-// a QUIT pipelined behind queries, a burst larger than the server's
-// request queue, and both sides of the write-buffer cutoff.
+// a QUIT pipelined behind queries, a 1024-query burst in one iteration,
+// both sides of the write-buffer cutoff, the serve.* ledger, and a daemon
+// started without a snapshot.
 //
 // The daemon's EventLoop runs on a thread of its own and the test thread
 // is the client. Every case ends the daemon with a wire QUIT and joins
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <latch>
 #include <limits>
 #include <memory>
@@ -30,6 +32,7 @@
 
 #include "daemon/daemon.h"
 #include "daemon/proto.h"
+#include "obs/metrics.h"
 #include "probe/records.h"
 #include "serve/oracle_snapshot.h"
 
@@ -38,7 +41,7 @@ namespace {
 
 /// Two surveyed /24s, 4 hosts each, 10 matched responses per host with
 /// RTTs cycling 10..100 ms.
-std::shared_ptr<const serve::OracleSnapshot> make_snapshot() {
+std::shared_ptr<const serve::OracleSnapshot> make_snapshot(std::uint64_t version = 1) {
   probe::RecordLog log;
   const net::Ipv4Address blocks[] = {net::Ipv4Address::from_octets(10, 0, 0, 0),
                                      net::Ipv4Address::from_octets(10, 0, 1, 0)};
@@ -57,6 +60,7 @@ std::shared_ptr<const serve::OracleSnapshot> make_snapshot() {
   }
   serve::SnapshotConfig config;
   config.min_samples_per_address = 5;
+  config.version = version;
   return std::make_shared<const serve::OracleSnapshot>(
       serve::OracleSnapshot::build(log, config));
 }
@@ -75,15 +79,20 @@ std::string query_line(std::size_t i) {
   return kMix[i % std::size(kMix)];
 }
 
-/// The reply the daemon owes `line`: the in-process lookup, formatted.
-std::string expected_reply(const serve::OracleSnapshot& snapshot, std::string_view line) {
+/// The in-process lookup the daemon owes QUERY `line`.
+serve::LookupResult expected_lookup(const serve::OracleSnapshot& snapshot,
+                                    std::string_view line) {
   proto::ParseError error{};
   const auto parsed = proto::parse_request(line, error);
   EXPECT_TRUE(parsed.has_value()) << line;
   if (!parsed.has_value()) return {};
   const serve::Request& q = parsed->query;
-  return proto::format_query_response(
-      snapshot.lookup(q.addr, q.addr_coverage, q.ping_coverage, q.min_scope));
+  return snapshot.lookup(q.addr, q.addr_coverage, q.ping_coverage, q.min_scope);
+}
+
+/// The reply the daemon owes `line`: the in-process lookup, formatted.
+std::string expected_reply(const serve::OracleSnapshot& snapshot, std::string_view line) {
+  return proto::format_query_response(expected_lookup(snapshot, line));
 }
 
 /// `count` pipelined queries starting at mix index `first`: the request
@@ -191,6 +200,24 @@ class Client {
   std::string pending_;
 };
 
+/// Sends `datagram` to the daemon's UDP port and returns the reply
+/// datagram, or "" when none came within 10 s.
+std::string udp_round_trip(std::uint16_t port, std::string_view datagram) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+  const timeval timeout{.tv_sec = 10, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ::sendto(fd, datagram.data(), datagram.size(), 0, reinterpret_cast<const sockaddr*>(&addr),
+           sizeof addr);
+  char buf[512];
+  const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+  ::close(fd);
+  return n > 0 ? std::string(buf, static_cast<std::size_t>(n)) : std::string{};
+}
+
 /// Parks the daemon's loop thread inside an injected function: the loop
 /// parks the next time it drains injected work, which is after that
 /// iteration's socket reads and before its post-dispatch writes. Stays
@@ -262,9 +289,12 @@ class LoopbackDaemon {
 
   /// Only after stop() or join(): the loop thread owns the registry while
   /// it runs.
+  [[nodiscard]] obs::Registry& registry() {
+    EXPECT_FALSE(thread_.joinable()) << "read the registry while the loop runs";
+    return daemon_.registry();
+  }
   [[nodiscard]] std::uint64_t counter(const std::string& name) {
-    EXPECT_FALSE(thread_.joinable()) << "read " << name << " while the loop runs";
-    return daemon_.registry().counter(name).value();
+    return registry().counter(name).value();
   }
 
  private:
@@ -389,7 +419,7 @@ TEST_F(DaemonLoopback, QuitFlushesEveryConnectionAndDatagramReadBeforeIt) {
 
 TEST_F(DaemonLoopback, BurstLargerThanQueueCapacityShedsNothing) {
   // 16 connections x 64 pipelined queries, all read in one loop
-  // iteration: 1024 requests against the default 512-request queue.
+  // iteration: 1024 requests, every one answered.
   LoopbackDaemon turtled{snapshot_};
   std::vector<std::unique_ptr<Client>> clients;
   for (int i = 0; i < 16; ++i) {
@@ -424,7 +454,7 @@ TEST_F(DaemonLoopback, BurstLargerThanQueueCapacityShedsNothing) {
 
 TEST_F(DaemonLoopback, DeepPipelineOnOneConnectionIsAnsweredNotDropped) {
   // 4096 queries in one write, read in one loop iteration: more than
-  // max_write_buffer of replies before the iteration's write. Bytes the
+  // kMaxWriteBuffer of replies before the iteration's write. Bytes the
   // daemon has not offered to the socket yet are not backpressure.
   LoopbackDaemon turtled{snapshot_};
   Client client{turtled.tcp_port()};
@@ -434,7 +464,7 @@ TEST_F(DaemonLoopback, DeepPipelineOnOneConnectionIsAnsweredNotDropped) {
   const Batch batch = make_batch(*snapshot_, 0, 4096);
   std::size_t reply_bytes = 0;
   for (const std::string& reply : batch.replies) reply_bytes += reply.size() + 1;
-  ASSERT_GT(reply_bytes, DaemonConfig{}.max_write_buffer);
+  ASSERT_GT(reply_bytes, kMaxWriteBuffer);
 
   LoopHold hold{turtled.loop()};
   hold.wait_parked();
@@ -454,7 +484,7 @@ TEST_F(DaemonLoopback, DeepPipelineOnOneConnectionIsAnsweredNotDropped) {
 TEST_F(DaemonLoopback, ClientThatNeverReadsIsDroppedForBackpressure) {
   // The cutoff's other side: once the kernel's buffers toward a client
   // that never reads are full, the replies its socket refuses pile up,
-  // and past max_write_buffer the daemon drops the connection. A second
+  // and past kMaxWriteBuffer the daemon drops the connection. A second
   // connection's STATS tells when: the client cannot read to find out.
   LoopbackDaemon turtled{snapshot_};
   Client admin{turtled.tcp_port()};
@@ -480,6 +510,84 @@ TEST_F(DaemonLoopback, ClientThatNeverReadsIsDroppedForBackpressure) {
   EXPECT_LT(batches, kMaxBatches) << "a client that never reads was never dropped";
   turtled.stop();
   EXPECT_EQ(turtled.counter("daemon.conn.dropped_backpressure"), 1u);
+}
+
+TEST_F(DaemonLoopback, ServeLedgerCountsWhatEachQueryWasAnswered) {
+  // TCP and UDP queries, a malformed line and a STATS: the serve.* ledger
+  // holds exactly the QUERYs answered, tier by tier, with the timeout
+  // each reply carried.
+  LoopbackDaemon turtled{snapshot_};
+  Client client{turtled.tcp_port()};
+  ASSERT_TRUE(client.connected());
+  const Batch batch = make_batch(*snapshot_, 0, 12);
+  client.send(batch.wire(0, batch.lines.size()) + "BOGUS\nSTATS\n");
+  std::vector<std::string> lines = client.read_lines(batch.lines.size() + 2);
+  ASSERT_EQ(lines.size(), batch.lines.size() + 2);
+  EXPECT_EQ(lines[12].rfind("ERR unknown-command ", 0), 0u) << lines[12];
+  EXPECT_EQ(lines[13].rfind("OK STATS offered=12 served=12 shed=0 queue_depth=0 ", 0), 0u)
+      << lines[13];
+  lines.resize(batch.lines.size());
+  EXPECT_EQ(lines, batch.replies);
+
+  std::vector<std::string> queries = batch.lines;
+  for (std::size_t i = 0; i < 6; ++i) {
+    queries.push_back(query_line(i));
+    EXPECT_EQ(udp_round_trip(turtled.udp_port(), queries.back()),
+              expected_reply(*snapshot_, queries.back()) + "\n");
+  }
+  turtled.stop();
+
+  std::uint64_t by_scope[3] = {0, 0, 0};
+  std::int64_t timeout_sum_us = 0;
+  for (const std::string& query : queries) {
+    const serve::LookupResult result = expected_lookup(*snapshot_, query);
+    ++by_scope[static_cast<int>(result.scope)];
+    timeout_sum_us += result.timeout.as_micros();
+  }
+  const std::uint64_t answered = queries.size();
+  EXPECT_EQ(turtled.counter("daemon.proto.queries"), answered);
+  EXPECT_EQ(turtled.counter("serve.offered"), answered);
+  EXPECT_EQ(turtled.counter("serve.served"), answered);
+  EXPECT_EQ(turtled.counter("serve.shed"), 0u);
+  EXPECT_EQ(turtled.counter("serve.lookups"), answered);
+  EXPECT_EQ(turtled.counter("serve.scope_block"), by_scope[0]);
+  EXPECT_EQ(turtled.counter("serve.scope_as"), by_scope[1]);
+  EXPECT_EQ(turtled.counter("serve.scope_global"), by_scope[2]);
+  const obs::Histogram& timeouts = turtled.registry().histogram("serve.timeout_answered");
+  EXPECT_EQ(timeouts.count(), answered);
+  EXPECT_EQ(timeouts.sum_us(), timeout_sum_us);
+  // No modeled serving terms: the daemon has no cache, queue or latency model.
+  for (const auto& [name, counter] : turtled.registry().counters()) {
+    EXPECT_NE(name.rfind("serve.cache_", 0), 0u) << name;
+    EXPECT_NE(name, "serve.queued");
+  }
+  EXPECT_FALSE(turtled.registry().histograms().contains("serve.latency"));
+}
+
+TEST_F(DaemonLoopback, SnapshotlessDaemonAnswersDefaultsUntilASwap) {
+  LoopbackDaemon turtled{nullptr};
+  Client client{turtled.tcp_port()};
+  ASSERT_TRUE(client.connected());
+  client.send("QUERY 10.0.0.1\nVERSION\n");
+  EXPECT_EQ(client.read_lines(2),
+            (std::vector<std::string>{
+                "OK QUERY timeout_us=0 scope=global samples=0 confidence=0.000000 version=0",
+                "OK VERSION proto=1 snapshot=0"}));
+
+  const std::shared_ptr<const serve::OracleSnapshot> next = make_snapshot(7);
+  const std::string path =
+      testing::TempDir() + "daemon_loopback_v7_" + std::to_string(::getpid()) + ".snap";
+  next->write(path);
+  client.send("SWAP " + path + "\n");
+  EXPECT_EQ(client.read_lines(1), std::vector<std::string>{"OK SWAP version=7 blocks=2"});
+  std::remove(path.c_str());
+  const Batch batch = make_batch(*next, 0, 6);
+  ASSERT_NE(batch.replies[0].find(" version=7"), std::string::npos);
+  client.send(batch.wire(0, batch.lines.size()));
+  EXPECT_EQ(client.read_lines(batch.lines.size()), batch.replies);
+  turtled.stop();
+  EXPECT_EQ(turtled.counter("serve.snapshot_swaps"), 1u);
+  EXPECT_EQ(turtled.registry().gauge("serve.snapshot_version").value(), 7);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "serve/load_generator.h"
 #include "serve/oracle_server.h"
 #include "serve/oracle_snapshot.h"
-#include "serve/transport.h"
 #include "sim/shard_runner.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
@@ -401,47 +400,10 @@ TEST(LoadGenerator, ShardedMetricsAreByteIdenticalAcrossJobs) {
   EXPECT_NE(serial.find("serve.offered"), std::string::npos);
 }
 
-/// Same shape as run_sharded_metrics but routed through an explicit
-/// SimTransport — the seam the daemon's NetTransport shares.
-std::string run_transport_metrics(int jobs) {
-  obs::Registry merged;
-  sim::ShardOptions options;
-  options.jobs = jobs;
-  options.seed = 99;
-  options.metrics = &merged;
-  sim::ShardRunner runner{options};
-  runner.run(4, [](sim::ShardContext& ctx) {
-    sim::Simulator sim{ctx.registry};
-    serve::ServerConfig config;
-    config.registry = ctx.registry;
-    config.queue_capacity = 16;
-    OracleServer server{sim, config,
-                        std::make_shared<const OracleSnapshot>(OracleSnapshot::build(
-                            make_log({kBlockA, kBlockB}, 3, 10,
-                                     1.0 + static_cast<double>(ctx.shard_index)),
-                            small_config()))};
-    serve::SimTransport transport{server};
-    serve::LoadGenConfig gen_config;
-    gen_config.rate_per_s = 2000;
-    gen_config.duration = SimTime::seconds(2);
-    gen_config.blocks = {kBlockA, kBlockB};
-    gen_config.registry = ctx.registry;
-    serve::LoadGenerator generator{sim, transport, gen_config, ctx.rng.fork(1)};
-    generator.start();
-    sim.run();
-    server.finalize();
-    return 0;
-  });
-  return merged.to_json();
-}
-
 TEST(Transport, InSimBackendIsByteIdenticalAcrossJobs) {
-  const std::string serial = run_transport_metrics(1);
-  EXPECT_EQ(serial, run_transport_metrics(8));
+  const std::string serial = run_sharded_metrics(1);
+  EXPECT_EQ(serial, run_sharded_metrics(8));
   EXPECT_NE(serial.find("serve.offered"), std::string::npos);
-  // And the seam is invisible: explicit SimTransport produces the exact
-  // dump the convenience OracleServer& path produces.
-  EXPECT_EQ(serial, run_sharded_metrics(1));
 }
 
 }  // namespace

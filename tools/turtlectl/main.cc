@@ -1,7 +1,7 @@
 // turtlectl — one-shot client for the turtled wire protocol.
 //
 //   turtlectl --port-file=ports.txt query 10.1.2.3 scope=as
-//   turtlectl --host=127.0.0.1 --port=4774 --udp stats
+//   turtlectl --host=127.0.0.1 --port=4774 --udp=true stats
 //   turtlectl --local=oracle.snap query 10.1.2.3
 //
 // The positionals form the request line verbatim (the verb is upcased), so
@@ -9,18 +9,20 @@
 // backends answer it:
 //
 //   * TCP (default) and UDP (--udp) talk to a running turtled;
-//   * --local=<snapshot> runs the same proto codec and NetTransport stack
-//     in-process against the mapped file — no daemon, no sockets. The
-//     smoke test byte-compares this against the network answers, which is
-//     the acceptance check that the daemon serves the oracle unmodified.
+//   * --local=<snapshot> runs the daemon's own two calls in-process against
+//     the mapped file — OracleSnapshot::lookup, then the proto codec's
+//     format_query_response — with no daemon and no sockets. The smoke test
+//     byte-compares this against the network answers.
 //
 // --timeout-ms bounds every socket wait. Its default practices what the
 // paper preaches: the client first asks the oracle itself (a bootstrap
 // `QUERY 0.0.0.0 scope=global` under a 5 s cap) and adopts the returned
 // global recommendation as its own deadline, instead of a folklore
-// constant.
+// constant. A zero answer (a daemon serving without a snapshot) is no
+// recommendation: the 5 s cap stays.
 //
-// Exit status: 0 for an OK reply, 1 for ERR, 2 for usage/transport errors.
+// Exit status: 0 for an OK reply, 1 for ERR, 2 for usage/transport errors
+// (an unknown flag included).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -39,7 +41,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "daemon/net_transport.h"
 #include "daemon/proto.h"
 #include "serve/oracle_snapshot.h"
 #include "util/flags.h"
@@ -174,7 +175,7 @@ bool read_port_file(const std::string& path, std::uint16_t& tcp, std::uint16_t& 
   return got_tcp && got_udp;
 }
 
-/// --local backend: the daemon's own codec + transport against a mapped
+/// --local backend: the daemon's own lookup + codec against a mapped
 /// snapshot. QUERY only — the other verbs are daemon state.
 int run_local(const std::string& snapshot_path, const std::string& line) {
   std::string error;
@@ -194,17 +195,9 @@ int run_local(const std::string& snapshot_path, const std::string& line) {
     std::fprintf(stderr, "turtlectl: --local answers QUERY only\n");
     return 2;
   }
-  daemon::NetTransport transport{serve::ServerConfig{}, snapshot};
-  std::string reply;
-  const bool admitted = transport.submit(
-      parsed->query, [&reply](const serve::LookupResult& result, SimTime /*latency*/) {
-        reply = daemon::proto::format_query_response(result);
-      });
-  transport.pump();
-  if (!admitted || reply.empty()) {
-    std::fprintf(stderr, "turtlectl: local submit failed\n");
-    return 2;
-  }
+  const serve::Request& q = parsed->query;
+  const std::string reply = daemon::proto::format_query_response(
+      snapshot->lookup(q.addr, q.addr_coverage, q.ping_coverage, q.min_scope));
   std::printf("%s\n", reply.c_str());
   return exit_code(reply);
 }
@@ -215,6 +208,7 @@ int main(int argc, char** argv) {
   util::Flags flags;
   try {
     flags = util::Flags::parse(argc, argv);
+    flags.reject_unknown("", {"host", "port", "port-file", "udp", "timeout-ms", "local"});
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "turtlectl: %s\n", e.what());
     return 2;
@@ -269,8 +263,9 @@ int main(int argc, char** argv) {
       const std::string reply =
           channel.round_trip("QUERY 0.0.0.0 scope=global");
       const auto recommended_us = parse_timeout_us(reply);
-      timeout_ms = recommended_us.has_value() ? std::max<std::uint64_t>(*recommended_us / 1000, 1)
-                                              : kBootstrapTimeoutMs;
+      timeout_ms = recommended_us.value_or(0) > 0
+                       ? std::max<std::uint64_t>(*recommended_us / 1000, 1)
+                       : kBootstrapTimeoutMs;
       std::fprintf(stderr, "# timeout from oracle: %llu ms\n",
                    static_cast<unsigned long long>(timeout_ms));
     }
