@@ -14,7 +14,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -52,48 +51,6 @@ void BM_EventQueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueue)->Arg(1'000)->Arg(100'000);
-
-// The pre-PR event queue shape — std::priority_queue of entries with an
-// embedded std::function, drained with the same clock/counter bookkeeping
-// Simulator::step does — kept as a reference so the owned 4-ary heap's
-// speedup stays attributable across PRs rather than anecdotal.
-void BM_EventQueueLegacyBinaryHeap(benchmark::State& state) {
-  struct LegacyEntry {
-    SimTime time;
-    std::uint64_t seq;
-    mutable std::function<void()> callback;  // moved out of const top()
-    bool operator<(const LegacyEntry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-  const auto n = static_cast<std::int64_t>(state.range(0));
-  util::Prng rng{1};
-  for (auto _ : state) {
-    std::priority_queue<LegacyEntry> heap;
-    std::uint64_t seq = 0;
-    std::int64_t fired = 0;
-    SimTime now;
-    std::uint64_t processed = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      heap.push(LegacyEntry{
-          SimTime::micros(static_cast<std::int64_t>(rng.uniform_int(1'000'000))), seq++,
-          [&fired] { ++fired; }});
-    }
-    while (!heap.empty()) {
-      now = heap.top().time;
-      auto cb = std::move(heap.top().callback);
-      heap.pop();
-      ++processed;
-      cb();
-    }
-    benchmark::DoNotOptimize(fired);
-    benchmark::DoNotOptimize(now);
-    benchmark::DoNotOptimize(processed);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueLegacyBinaryHeap)->Arg(1'000)->Arg(100'000);
 
 // Dispatch cost of the callback type alone: construct + invoke a callable
 // whose capture (24 bytes) exceeds std::function's inline buffer but fits

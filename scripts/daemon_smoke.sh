@@ -3,9 +3,10 @@
 #
 # Proves the acceptance criteria end to end on a real socket round trip:
 #
-#   0. an unknown flag exits 2, and a daemon started without a snapshot
-#      answers a zero timeout that turtlectl does not adopt as its
-#      deadline (it keeps the 5 s bootstrap cap);
+#   0. an unknown flag, and a numeric flag that is malformed or out of
+#      range, exits 2 naming the flag; a daemon started without a
+#      snapshot answers a zero timeout that turtlectl does not adopt as
+#      its deadline (it keeps the 5 s bootstrap cap);
 #   1. turtled serving a mmap'd snapshot-v1 file answers QUERY over both
 #      TCP and UDP, and every network answer is byte-identical to
 #      `turtlectl --local` running the same lookup + codec in-process on
@@ -16,7 +17,9 @@
 #   4. QUIT runs the graceful drain: the daemon exits 0 and its metrics
 #      dump passes validate_obs.py --serve (offered == daemon.proto.queries
 #      == served + shed) plus daemon.* ledger sanity, and the same dump
-#      with serve.offered off by one fails it.
+#      with serve.offered off by one fails it;
+#   5. turtled --idle-ms=300 closes a silent TCP client after 300 ms to
+#      1 s, and STATS counts it under reaped_idle.
 #
 # Usage: scripts/daemon_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -85,6 +88,26 @@ grep -q "unknown flag --idle_ms" "$WORK/typo.err" || fail "typo not named: $(cat
 rc=0
 "$TURTLECTL" --timeout_ms=5000 --local="$WORK/v41.snap" query 10.0.0.1 > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "turtlectl --timeout_ms=5000 exited $rc, want 2"
+# Each bad value must exit 2 and name its flag, not abort or wrap.
+expect_usage_error() {
+  local flag=$1
+  shift
+  rc=0
+  timeout 10 "$@" > /dev/null 2> "$WORK/usage.err" || rc=$?
+  [ "$rc" -eq 2 ] || fail "$* exited $rc, want 2"
+  grep -q -- "--$flag" "$WORK/usage.err" || fail "$* did not name --$flag: $(cat "$WORK/usage.err")"
+}
+for bad in --idle-ms=abc --idle-ms=0 --idle-ms=-5 --idle-ms=18446744073709552; do
+  expect_usage_error idle-ms "$TURTLED" "$bad"
+done
+expect_usage_error tcp-port "$TURTLED" --tcp-port=70000
+expect_usage_error tcp-port "$TURTLED" --tcp-port=abc
+expect_usage_error udp-port "$TURTLED" --udp-port=-1
+expect_usage_error max-connections "$TURTLED" --max-connections=0
+expect_usage_error port "$TURTLECTL" --port=abc query 10.0.0.1
+expect_usage_error port "$TURTLECTL" --port=70000 query 10.0.0.1
+expect_usage_error timeout-ms "$TURTLECTL" --port=4774 --timeout-ms=abc query 10.0.0.1
+expect_usage_error timeout-ms "$TURTLECTL" --port=4774 --timeout-ms=-1 query 10.0.0.1
 
 launch "$WORK/bare-ports.txt"
 "$TURTLECTL" --port-file="$WORK/bare-ports.txt" query 10.0.0.1 \
@@ -96,7 +119,7 @@ grep -qx "# timeout from oracle: 5000 ms" "$WORK/bare-bootstrap.err" || \
 "$TURTLECTL" --port-file="$WORK/bare-ports.txt" --timeout-ms=5000 quit > /dev/null || \
   fail "snapshotless QUIT"
 await_exit
-echo "daemon_smoke: typos exit 2; a snapshotless daemon's zero timeout is not adopted"
+echo "daemon_smoke: typos and bad numeric flags exit 2; a snapshotless daemon's zero timeout is not adopted"
 
 # --- Launch on ephemeral loopback ports. -----------------------------------
 launch "$WORK/ports.txt" --snapshot="$WORK/v41.snap" --metrics-out="$WORK/metrics.json"
@@ -186,5 +209,24 @@ print("daemon_smoke: daemon.* ledger closes "
       f"({counters['daemon.proto.requests']} requests, "
       f"{counters['daemon.conn.accepted']} connections)")
 EOF
+
+# --- 5. Idle reaping on the real binary. ----------------------------------
+launch "$WORK/idle-ports.txt" --idle-ms=300
+python3 - "$WORK/idle-ports.txt" <<'EOF'
+import socket, sys, time
+ports = dict(token.split("=") for token in open(sys.argv[1]).read().split())
+start = time.monotonic()
+client = socket.create_connection(("127.0.0.1", int(ports["tcp"])), timeout=5)
+data = client.recv(1)
+elapsed_ms = (time.monotonic() - start) * 1000
+assert data == b"", f"silent client was sent {data!r}"
+assert 300 <= elapsed_ms < 1000, f"silent client closed after {elapsed_ms:.0f} ms, want 300-1000"
+print(f"daemon_smoke: --idle-ms=300 closed a silent client after {elapsed_ms:.0f} ms")
+EOF
+"$TURTLECTL" --port-file="$WORK/idle-ports.txt" --timeout-ms=5000 stats > "$WORK/idle-stats.out" || \
+  fail "STATS after the reap"
+grep -q " reaped_idle=1 " "$WORK/idle-stats.out" || fail "reap not counted: $(cat "$WORK/idle-stats.out")"
+"$TURTLECTL" --port-file="$WORK/idle-ports.txt" --timeout-ms=5000 quit > /dev/null || fail "idle QUIT"
+await_exit
 
 echo "daemon_smoke: OK"

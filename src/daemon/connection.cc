@@ -17,6 +17,7 @@ constexpr std::size_t kReadChunk = 4096;
 Connection::Connection(Daemon& daemon, std::uint64_t id, int fd)
     : daemon_{daemon},
       id_{id},
+      last_read_us_{daemon.loop().now_us()},
       event_{daemon.loop(), fd, [this](unsigned ready) { on_ready(ready); }} {
   event_.schedule(SocketEvent::kRead);
 }
@@ -39,7 +40,7 @@ void Connection::handle_read() {
   while (!dead_) {
     const ssize_t n = ::read(event_.fd(), buf, sizeof buf);
     if (n > 0) {
-      daemon_.touch_idle(id_);
+      last_read_us_ = daemon_.loop().now_us();
       splitter_.feed(std::string_view{buf, static_cast<std::size_t>(n)},
                      [this](std::string_view line) { on_line(line); },
                      [this] { daemon_.on_line_overflow(*this); });

@@ -63,6 +63,11 @@ class Connection {
 
   [[nodiscard]] bool dead() const { return dead_; }
 
+  /// Loop time of the last read that returned bytes, or of the accept if
+  /// none has yet. The daemon's idle sweep reaps a connection once this
+  /// is a whole idle window old.
+  [[nodiscard]] std::uint64_t last_read_us() const { return last_read_us_; }
+
  private:
   void on_ready(unsigned ready);
   void handle_read();
@@ -76,6 +81,7 @@ class Connection {
 
   std::string write_buffer_;
   std::size_t write_offset_ = 0;
+  std::uint64_t last_read_us_;
 
   bool close_after_flush_ = false;
   bool dead_ = false;

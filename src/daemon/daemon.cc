@@ -7,24 +7,20 @@
 #include <cerrno>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 
 namespace turtle::daemon {
 
 Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot> snapshot)
-    : config_{std::move(config)},
-      snapshot_{std::move(snapshot)},
-      idle_{loop_.wheel(),
-            [&]() {
-              IdleConfig idle = config_.idle;
-              idle.registry = &registry_;
-              return idle;
-            }()} {
+    : config_{std::move(config)}, snapshot_{std::move(snapshot)} {
+  TURTLE_CHECK_GT(config_.idle_us, 0u);
   conn_accepted_ = &registry_.counter("daemon.conn.accepted");
   conn_closed_ = &registry_.counter("daemon.conn.closed");
   conn_rejected_ = &registry_.counter("daemon.conn.rejected_overload");
   conn_dropped_ = &registry_.counter("daemon.conn.dropped_backpressure");
+  conn_reaped_idle_ = &registry_.counter("daemon.conn.reaped_idle");
   proto_requests_ = &registry_.counter("daemon.proto.requests");
   proto_rejected_ = &registry_.counter("daemon.proto.rejected");
   proto_queries_ = &registry_.counter("daemon.proto.queries");
@@ -46,9 +42,6 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot>
   snapshot_version_ = &registry_.gauge("serve.snapshot_version");
   snapshot_version_->set(static_cast<std::int64_t>(snapshot_version()));
   timeout_answered_ = &registry_.histogram("serve.timeout_answered");
-  // The reaped_idle counter exists from startup even if nothing is ever
-  // reaped — ledger series show their zeros.
-  registry_.counter("daemon.conn.reaped_idle");
 
   tcp_listener_ = std::make_unique<TcpListener>(
       loop_, open_tcp_listener(config_.bind_addr, config_.tcp_port),
@@ -61,6 +54,7 @@ Daemon::Daemon(DaemonConfig config, std::shared_ptr<const serve::OracleSnapshot>
 
   loop_.set_post_dispatch([this] { post_dispatch(); });
   loop_.set_stop_hook([this] { begin_shutdown(); });
+  sweep_idle();  // finds nobody yet; arms the sweep timer
 
   if (!config_.port_file.empty()) {
     std::ofstream os{config_.port_file, std::ios::trunc};
@@ -98,10 +92,6 @@ void Daemon::on_accept(int fd) {
   conn_accepted_->inc();
   conn_open_->set(static_cast<std::int64_t>(connections_.size()));
   conn_high_water_->set_max(static_cast<std::int64_t>(connections_.size()));
-  idle_.add(id, loop_.now_us(), [this, id] {
-    // The governor counted the reap; this closes the socket.
-    close_connection(id, CloseReason::kReapedIdle);
-  });
 }
 
 void Daemon::close_connection(std::uint64_t id, CloseReason reason) {
@@ -110,14 +100,15 @@ void Daemon::close_connection(std::uint64_t id, CloseReason reason) {
   switch (reason) {
     case CloseReason::kPeer:
     case CloseReason::kShutdown:
+      break;
     case CloseReason::kReapedIdle:
+      conn_reaped_idle_->inc();
       break;
     case CloseReason::kBackpressure:
       conn_dropped_->inc();
       break;
   }
   conn_closed_->inc();
-  idle_.remove(id);
   it->second->shutdown_now();
   // Park the object: the close may originate inside this connection's own
   // dispatch stack, so destruction waits for the iteration to end.
@@ -278,6 +269,16 @@ void Daemon::flush_udp() {
   }
 }
 
+void Daemon::sweep_idle() {
+  const std::uint64_t now = loop_.now_us();
+  std::vector<std::uint64_t> silent;
+  for (const auto& [id, conn] : connections_) {
+    if (now - conn->last_read_us() >= config_.idle_us) silent.push_back(id);
+  }
+  for (const std::uint64_t id : silent) close_connection(id, CloseReason::kReapedIdle);
+  loop_.schedule_after(config_.idle_us / 8, [this] { sweep_idle(); });
+}
+
 std::string Daemon::stats_line() {
   std::string out = "OK STATS";
   const auto field = [&out](std::string_view key, std::uint64_t value) {
@@ -292,7 +293,7 @@ std::string Daemon::stats_line() {
   field("queue_depth", 0);  // kept for the stable key set: nothing queues
   field("conns", connections_.size());
   field("accepted", conn_accepted_->value());
-  field("reaped_idle", idle_.reaped());
+  field("reaped_idle", conn_reaped_idle_->value());
   field("proto_requests", proto_requests_->value());
   field("proto_rejected", proto_rejected_->value());
   field("snapshot_version", snapshot_version());

@@ -7,7 +7,8 @@
 // and the reply enters its connection's write buffer (or the datagram
 // reply queue) in request order. Once per loop iteration every connection
 // with new output gets one write(), and the datagram answers go out.
-// Connections silent for the idle window are reaped by an IdleGovernor.
+// A loop timer sweeps the connections every eighth of the idle window and
+// reaps those silent for all of it.
 // Admin operations ride the same protocol: STATS snapshots the ledger,
 // SWAP hot-swaps a new snapshot file mid-traffic, QUIT (or SIGINT/SIGTERM)
 // runs the graceful drain — flush the replies to what was read before it,
@@ -25,7 +26,6 @@
 
 #include "daemon/connection.h"
 #include "daemon/event_loop.h"
-#include "daemon/idle.h"
 #include "daemon/listener.h"
 #include "daemon/proto.h"
 #include "obs/metrics.h"
@@ -40,7 +40,9 @@ struct DaemonConfig {
   /// Accepts beyond this are refused with `ERR overloaded` and counted
   /// under daemon.conn.rejected_overload.
   std::size_t max_connections = 1024;
-  IdleConfig idle;  ///< `idle.registry` is overridden with the daemon's
+  /// How long a silent peer may hold its connection (turtled --idle-ms).
+  /// Reaped connections count under daemon.conn.reaped_idle.
+  std::uint64_t idle_us = 60'000'000;
 
   /// Written once listeners are bound: "tcp=<port>\nudp=<port>\n". The
   /// smoke test polls this to learn ephemeral ports.
@@ -75,7 +77,7 @@ class Daemon {
 
   enum class CloseReason : std::uint8_t {
     kPeer,          ///< orderly close (peer EOF, QUIT flush, error)
-    kReapedIdle,    ///< idle deadline fired (already counted by the governor)
+    kReapedIdle,    ///< silent for the idle window
     kBackpressure,  ///< socket refused more than kMaxWriteBuffer bytes
     kShutdown,      ///< force-closed during the final drain
   };
@@ -84,8 +86,6 @@ class Daemon {
   void dispatch_line(Connection& conn, std::string_view line);
   /// An oversized line: counted rejection + ERR, connection survives.
   void on_line_overflow(Connection& conn);
-  /// Marks activity for the idle governor.
-  void touch_idle(std::uint64_t id) { idle_.touch(id, loop_.now_us()); }
   /// Closes and buries `id`'s connection (object freed after the current
   /// loop iteration).
   void close_connection(std::uint64_t id, CloseReason reason);
@@ -104,6 +104,9 @@ class Daemon {
   [[nodiscard]] std::string answer_query(const serve::Request& query);
   void post_dispatch();
   void flush_udp();
+  /// Reaps every connection silent for the idle window, then re-arms
+  /// itself idle_us / 8 later: a reap lands in [idle, idle + idle/8].
+  void sweep_idle();
 
   [[nodiscard]] std::string stats_line();
   [[nodiscard]] std::string version_line();
@@ -119,7 +122,6 @@ class Daemon {
 
   EventLoop loop_;
   std::shared_ptr<const serve::OracleSnapshot> snapshot_;
-  IdleGovernor idle_;
 
   std::unique_ptr<TcpListener> tcp_listener_;
   std::unique_ptr<SocketEvent> udp_event_;
@@ -149,6 +151,7 @@ class Daemon {
   obs::Counter* conn_closed_;            ///< "daemon.conn.closed"
   obs::Counter* conn_rejected_;          ///< "daemon.conn.rejected_overload"
   obs::Counter* conn_dropped_;           ///< "daemon.conn.dropped_backpressure"
+  obs::Counter* conn_reaped_idle_;       ///< "daemon.conn.reaped_idle"
   obs::Counter* proto_requests_;         ///< "daemon.proto.requests"
   obs::Counter* proto_rejected_;         ///< "daemon.proto.rejected"
   obs::Counter* proto_queries_;          ///< "daemon.proto.queries"

@@ -7,11 +7,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 
 namespace turtle::daemon {
 namespace {
+
+/// Poll timeout when no timer is due sooner: also how long a UDP reply
+/// left on EAGAIN waits for the next iteration to retry it.
+constexpr std::uint64_t kMaxPollUs = 1'000'000;
 
 unsigned to_epoll(unsigned interest) {
   unsigned events = 0;
@@ -31,10 +36,8 @@ unsigned from_epoll(unsigned events) {
 
 }  // namespace
 
-EventLoop::EventLoop() : EventLoop{Config{}} {}
-
-EventLoop::EventLoop(Config config) : config_{config}, wheel_{config.wheel} {
-  TURTLE_CHECK(config_.clock != nullptr);
+EventLoop::EventLoop(ClockFn clock) : clock_{clock} {
+  TURTLE_CHECK(clock_ != nullptr);
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   TURTLE_CHECK_GE(epoll_fd_, 0) << "epoll_create1: errno=" << errno;
   TURTLE_CHECK_EQ(pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC), 0)
@@ -61,6 +64,22 @@ void EventLoop::run() {
 }
 
 void EventLoop::defer(std::function<void()> fn) { deferred_.push_back(std::move(fn)); }
+
+void EventLoop::schedule_at(std::uint64_t deadline_us, Callback fn) {
+  TURTLE_CHECK(fn);
+  const auto deadline = static_cast<std::int64_t>(deadline_us);
+  TURTLE_CHECK_GE(deadline, 0) << "timer deadline " << deadline_us << " us is out of range";
+  timers_.push(SimTime::micros(deadline), std::move(fn));
+}
+
+void EventLoop::run_timers(std::uint64_t now_us) {
+  // Pop the whole due set before running any of it: a callback that
+  // schedules at or before now lands in the queue, not in this batch.
+  const SimTime now = SimTime::micros(static_cast<std::int64_t>(now_us));
+  std::vector<Callback> due;
+  while (!timers_.empty() && timers_.next_time() <= now) due.push_back(timers_.pop());
+  for (Callback& fn : due) fn();
+}
 
 void EventLoop::inject(std::function<void()> fn) {
   {
@@ -109,13 +128,14 @@ void EventLoop::poll_once() {
     if (stopping_) return;
   }
 
-  int timeout_ms = static_cast<int>(config_.max_poll_us / 1000);
-  if (const auto deadline = wheel_.next_deadline_us(); deadline.has_value()) {
+  std::uint64_t wait_us = kMaxPollUs;
+  if (!timers_.empty()) {
+    const auto deadline = static_cast<std::uint64_t>(timers_.next_time().as_micros());
     const std::uint64_t now = now_us();
-    const std::uint64_t wait_us = *deadline > now ? *deadline - now : 0;
-    timeout_ms = static_cast<int>(std::min<std::uint64_t>(wait_us / 1000 + 1,
-                                                          config_.max_poll_us / 1000));
+    wait_us = std::min(wait_us, deadline > now ? deadline - now : 0);
   }
+  // Round up: waking a hair early would only poll again.
+  int timeout_ms = static_cast<int>((wait_us + 999) / 1000);
   if (!deferred_.empty()) timeout_ms = 0;
 
   epoll_event events[64];
@@ -140,13 +160,13 @@ void EventLoop::poll_once() {
     if (ready != 0) event->handler_(ready);
   }
   drain_pending();
-  wheel_.advance(now_us());
+  if (!timers_.empty()) run_timers(now_us());
   if (post_dispatch_) post_dispatch_();
 }
 
 void EventLoop::run_ready(std::uint64_t now_us) {
   drain_pending();
-  wheel_.advance(now_us);
+  run_timers(now_us);
   if (post_dispatch_) post_dispatch_();
 }
 

@@ -2,8 +2,8 @@
 //
 // Modeled on MPD's event layer (SocketEvent / deferred / injected events):
 // one thread owns the loop; sockets register a SocketEvent with the fd and
-// a handler; the loop multiplexes readiness, drives the timer wheel, and
-// runs deferred work between poll cycles. Three ways in:
+// a handler; the loop multiplexes readiness, runs due timers, and runs
+// deferred work between poll cycles. Three ways in:
 //
 //   * SocketEvent::schedule(kRead|kWrite) — fd readiness, epoll-driven.
 //   * defer(fn) — run before the next poll, FIFO. Loop-thread only; this
@@ -12,6 +12,11 @@
 //   * inject(fn) — the one thread-safe entry point: enqueues under a
 //     mutex and wakes the loop through its self-pipe. Signal handlers use
 //     the narrower request_stop_from_signal(), which is async-signal-safe.
+//
+// Timers live on the simulator's own scheduler, a sim::EventQueue keyed
+// by loop microseconds: (deadline, insertion) order, and an O(1) look at
+// the earliest deadline for the poll timeout. There is no cancel; a timer
+// that may become moot checks its own state when it fires.
 //
 // Time: the loop never reads a clock directly. It calls an injected
 // ClockFn (production: daemon::wall_now_us, the D2-allowlisted site; tests:
@@ -28,8 +33,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "daemon/timer_wheel.h"
 #include "daemon/wall_clock.h"
+#include "sim/event_queue.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -39,19 +44,12 @@ class SocketEvent;
 
 class EventLoop {
  public:
-  struct Config {
-    TimerWheel::Config wheel;
-    /// Injectable time source; every now_us() and poll-timeout computation
-    /// goes through this.
-    ClockFn clock = &wall_now_us;
-    /// Poll timeout cap when no timer is armed.
-    std::uint64_t max_poll_us = 1'000'000;
-  };
+  /// Timer callback: inline storage for small captures, move-only.
+  using Callback = sim::EventQueue::Callback;
 
-  // Split constructors: GCC rejects `= {}` defaults of nested aggregates
-  // with member initializers inside the enclosing class.
-  EventLoop();
-  explicit EventLoop(Config config);
+  /// `clock` is the time source every now_us() and poll-timeout
+  /// computation reads.
+  explicit EventLoop(ClockFn clock = &wall_now_us);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -87,17 +85,19 @@ class EventLoop {
   /// cycle's worth of pipelined answers leaves in one write().
   void set_post_dispatch(std::function<void()> hook) { post_dispatch_ = std::move(hook); }
 
-  /// Arms a timer on the wheel at absolute `deadline_us` (loop clock).
-  TimerWheel::TimerId schedule_at(std::uint64_t deadline_us, std::function<void()> fn) {
-    return wheel_.schedule(deadline_us, std::move(fn));
+  /// Runs `fn` in the first iteration whose time is >= `deadline_us`
+  /// (loop clock). Timers due together fire in (deadline, insertion)
+  /// order; one that a firing callback schedules at or before now runs in
+  /// the next iteration, never recursively in this one.
+  void schedule_at(std::uint64_t deadline_us, Callback fn);
+  void schedule_after(std::uint64_t delay_us, Callback fn) {
+    schedule_at(now_us() + delay_us, std::move(fn));
   }
-  TimerWheel::TimerId schedule_after(std::uint64_t delay_us, std::function<void()> fn) {
-    return wheel_.schedule(now_us() + delay_us, std::move(fn));
-  }
-  bool cancel_timer(TimerWheel::TimerId id) { return wheel_.cancel(id); }
 
-  [[nodiscard]] std::uint64_t now_us() const { return config_.clock(); }
-  [[nodiscard]] TimerWheel& wheel() { return wheel_; }
+  /// Timers scheduled and not yet fired. Loop thread only.
+  [[nodiscard]] std::size_t pending_timers() const { return timers_.size(); }
+
+  [[nodiscard]] std::uint64_t now_us() const { return clock_(); }
 
   /// Test seam: one synchronous iteration at fabricated time `now_us` —
   /// injected work, then the deferred drain, then due timers, then the
@@ -114,10 +114,12 @@ class EventLoop {
   void poll_once();
   /// Drains injected (under the lock) then deferred (loop-local) work.
   void drain_pending() TURTLE_EXCLUDES(inject_mu_);
+  /// Pops every timer due at `now_us` into one batch, then runs it.
+  void run_timers(std::uint64_t now_us);
   void wake();
 
-  Config config_;
-  TimerWheel wheel_;
+  ClockFn clock_;
+  sim::EventQueue timers_;
   int epoll_fd_ = -1;
   /// Self-pipe: [0] registered with epoll, [1] written by inject/signal.
   int wake_fds_[2] = {-1, -1};

@@ -10,7 +10,7 @@
 //   * wall_clock.cc is the only src/ file (besides the thread pool) on the
 //     D2 allowlist; any other clock read in src/daemon/ is a lint failure.
 //   * EventLoop takes the clock as an injectable function pointer, so unit
-//     tests drive timers and idle reaping under fake time and stay
+//     tests drive its timers and deferred work under fake time and stay
 //     deterministic.
 //   * Durations measured with this clock are recorded only under wall.*
 //     metric names, which obs::Registry::write_json excludes from the

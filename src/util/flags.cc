@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -41,9 +42,20 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   char* end = nullptr;
+  errno = 0;
   const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
+  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument("flag --" + name + " expects an integer, got '" + it->second + "'");
+  }
+  return v;
+}
+
+std::int64_t Flags::get_int_in(const std::string& name, std::int64_t def, std::int64_t lo,
+                               std::int64_t hi) const {
+  const std::int64_t v = get_int(name, def);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("flag --" + name + " must be in [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " + std::to_string(v));
   }
   return v;
 }

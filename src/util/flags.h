@@ -34,8 +34,13 @@ class Flags {
   [[nodiscard]] const std::vector<std::string>& positionals() const { return positionals_; }
 
   /// Typed getters; return `def` when the flag is absent and throw
-  /// std::invalid_argument when present but unparsable.
+  /// std::invalid_argument when present but unparsable (an integer past
+  /// the int64 range included).
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// get_int that also throws, naming the flag, for a value outside
+  /// [lo, hi].
+  [[nodiscard]] std::int64_t get_int_in(const std::string& name, std::int64_t def,
+                                        std::int64_t lo, std::int64_t hi) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] std::string get_string(const std::string& name, std::string def) const;
   /// Bare `--name` and `--name=true/1/yes` are true; `--name=false/0/no` false.

@@ -1,8 +1,8 @@
 // turtle::daemon — an in-process turtled on ephemeral loopback ports,
 // driven through real sockets: a pipelined batch split across two writes,
 // a QUIT pipelined behind queries, a 1024-query burst in one iteration,
-// both sides of the write-buffer cutoff, the serve.* ledger, and a daemon
-// started without a snapshot.
+// both sides of the write-buffer cutoff, the serve.* ledger, a daemon
+// started without a snapshot, idle reaping, and connection churn.
 //
 // The daemon's EventLoop runs on a thread of its own and the test thread
 // is the client. Every case ends the daemon with a wire QUIT and joins
@@ -20,6 +20,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <latch>
 #include <limits>
 #include <memory>
@@ -253,8 +254,9 @@ class LoopHold {
 /// turtled on ephemeral loopback ports, its loop on a thread of its own.
 class LoopbackDaemon {
  public:
-  explicit LoopbackDaemon(std::shared_ptr<const serve::OracleSnapshot> snapshot)
-      : daemon_{DaemonConfig{}, std::move(snapshot)},
+  explicit LoopbackDaemon(std::shared_ptr<const serve::OracleSnapshot> snapshot,
+                          DaemonConfig config = {})
+      : daemon_{std::move(config), std::move(snapshot)},
         tcp_port_{daemon_.tcp_port()},
         udp_port_{daemon_.udp_port()},
         thread_{[this] { daemon_.run(); }} {}
@@ -588,6 +590,60 @@ TEST_F(DaemonLoopback, SnapshotlessDaemonAnswersDefaultsUntilASwap) {
   turtled.stop();
   EXPECT_EQ(turtled.counter("serve.snapshot_swaps"), 1u);
   EXPECT_EQ(turtled.registry().gauge("serve.snapshot_version").value(), 7);
+}
+
+TEST_F(DaemonLoopback, SilentConnectionIsReapedAfterTheIdleWindowAChattyOneIsNot) {
+  // The idle sweep runs every idle/8, so a silent connection closes
+  // between 300 and ~338 ms after it was accepted; 500 ms leaves slack for
+  // a loaded sanitizer runner. A QUERY every 50 ms keeps the other open.
+  DaemonConfig config;
+  config.idle_us = 300'000;
+  LoopbackDaemon turtled{snapshot_, config};
+  const auto connected_at = std::chrono::steady_clock::now();
+  Client silent{turtled.tcp_port()};
+  Client chatty{turtled.tcp_port()};
+  ASSERT_TRUE(silent.connected());
+  ASSERT_TRUE(chatty.connected());
+
+  const std::string query = query_line(0);
+  const std::string reply = expected_reply(*snapshot_, query);
+  std::thread chatter{[&] {
+    for (int i = 0; i < 16; ++i) {  // 800 ms: past the silent one's reap
+      chatty.send(query + "\n");
+      EXPECT_EQ(chatty.read_lines(1), std::vector<std::string>{reply}) << "query " << i;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }};
+  EXPECT_TRUE(silent.read_until_eof().empty());
+  const std::chrono::duration<double, std::milli> reaped_after =
+      std::chrono::steady_clock::now() - connected_at;
+  chatter.join();
+  EXPECT_GE(reaped_after.count(), 300.0);
+  EXPECT_LT(reaped_after.count(), 500.0);
+
+  turtled.stop();
+  EXPECT_EQ(turtled.counter("daemon.conn.reaped_idle"), 1u);
+  EXPECT_EQ(turtled.counter("daemon.conn.accepted"), turtled.counter("daemon.conn.closed"));
+}
+
+TEST_F(DaemonLoopback, ConnectionChurnLeavesNoTimerBehind) {
+  // Idle reaping keeps no per-connection timer: after 2000 short
+  // connections the loop holds the idle sweep and nothing else.
+  LoopbackDaemon turtled{snapshot_};
+  const std::string query = query_line(0);
+  const std::string reply = expected_reply(*snapshot_, query);
+  for (int i = 0; i < 2000; ++i) {
+    Client client{turtled.tcp_port()};
+    ASSERT_TRUE(client.connected()) << "connection " << i;
+    client.send(query + "\n");
+    ASSERT_EQ(client.read_lines(1), std::vector<std::string>{reply}) << "connection " << i;
+  }
+  std::promise<std::size_t> pending;
+  turtled.loop().inject([&] { pending.set_value(turtled.loop().pending_timers()); });
+  EXPECT_LE(pending.get_future().get(), 2u);
+  turtled.stop();
+  EXPECT_EQ(turtled.counter("daemon.conn.accepted"), 2001u);  // + the QUIT connection
+  EXPECT_EQ(turtled.counter("daemon.conn.closed"), 2001u);
 }
 
 }  // namespace

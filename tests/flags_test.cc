@@ -80,10 +80,26 @@ TEST(Flags, SpaceFormBindsOverPositional) {
 }
 
 TEST(Flags, WrongTypeThrows) {
-  const auto f = parse({"--blocks=abc", "--rate=1.2.3", "--flag=maybe"});
+  const auto f = parse(
+      {"--blocks=abc", "--huge=99999999999999999999", "--rate=1.2.3", "--flag=maybe"});
   EXPECT_THROW((void)f.get_int("blocks", 0), std::invalid_argument);
+  // Past int64: rejected, not saturated to INT64_MAX.
+  EXPECT_THROW((void)f.get_int("huge", 0), std::invalid_argument);
   EXPECT_THROW((void)f.get_double("rate", 0), std::invalid_argument);
   EXPECT_THROW((void)f.get_bool("flag", false), std::invalid_argument);
+}
+
+TEST(Flags, IntInRangeRejectsOutsideValuesNamingTheFlag) {
+  const auto f = parse({"--port=70000", "--idle=0", "--ok=65535"});
+  EXPECT_EQ(f.get_int_in("ok", 0, 0, 65535), 65535);
+  EXPECT_EQ(f.get_int_in("absent", 7, 0, 65535), 7);
+  try {
+    (void)f.get_int_in("port", 0, 0, 65535);
+    ADD_FAILURE() << "--port=70000 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --port must be in [0, 65535], got 70000");
+  }
+  EXPECT_THROW((void)f.get_int_in("idle", 1, 1, 100), std::invalid_argument);
 }
 
 TEST(Flags, NamesLists) {

@@ -22,7 +22,8 @@
 // recommendation: the 5 s cap stays.
 //
 // Exit status: 0 for an OK reply, 1 for ERR, 2 for usage/transport errors
-// (an unknown flag included).
+// (an unknown flag, or a numeric one that is malformed or out of range,
+// included).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -36,6 +37,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -206,9 +208,16 @@ int run_local(const std::string& snapshot_path, const std::string& line) {
 
 int main(int argc, char** argv) {
   util::Flags flags;
+  bool udp = false;
+  std::uint16_t tcp_port = 0;
+  std::uint64_t timeout_ms = 0;
   try {
     flags = util::Flags::parse(argc, argv);
     flags.reject_unknown("", {"host", "port", "port-file", "udp", "timeout-ms", "local"});
+    udp = flags.get_bool("udp", false);
+    tcp_port = static_cast<std::uint16_t>(flags.get_int_in("port", 0, 0, 65535));
+    timeout_ms = static_cast<std::uint64_t>(
+        flags.get_int_in("timeout-ms", 0, 0, std::numeric_limits<std::int64_t>::max()));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "turtlectl: %s\n", e.what());
     return 2;
@@ -238,8 +247,6 @@ int main(int argc, char** argv) {
   const std::string local_snapshot = flags.get_string("local", "");
   if (!local_snapshot.empty()) return run_local(local_snapshot, line);
 
-  const bool udp = flags.get_bool("udp", false);
-  std::uint16_t tcp_port = static_cast<std::uint16_t>(flags.get_int("port", 0));
   std::uint16_t udp_port = tcp_port;
   const std::string port_file = flags.get_string("port-file", "");
   if (!port_file.empty() && !read_port_file(port_file, tcp_port, udp_port)) {
@@ -254,8 +261,6 @@ int main(int argc, char** argv) {
 
   try {
     Channel channel{flags.get_string("host", "127.0.0.1"), port, udp};
-    std::uint64_t timeout_ms =
-        static_cast<std::uint64_t>(flags.get_int("timeout-ms", 0));
     if (timeout_ms == 0) {
       // No explicit deadline: ask the oracle for its global recommendation
       // and use that, the way the paper says clients should.

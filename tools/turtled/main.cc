@@ -1,15 +1,17 @@
 // turtled — serve the timeout oracle over TCP/UDP loopback or LAN.
 //
-//   turtled --snapshot=oracle.snap --tcp-port=4774 --udp-port=4774 \
+//   turtled --snapshot=oracle.snap --tcp-port=4774 --udp-port=4774
 //           --metrics-out=daemon_metrics.json
 //
 // Ports default to 0 (kernel-assigned); pass --port-file so scripts can
 // learn the actual bindings. SIGINT/SIGTERM (and the wire QUIT) trigger
 // the graceful drain: flush replies, dump metrics, exit 0. An unknown
-// flag exits 2. See src/daemon/PROTOCOL.md for the wire grammar.
+// flag, or a numeric one that is malformed or out of range, exits 2. See
+// src/daemon/PROTOCOL.md for the wire grammar.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,33 +32,31 @@ extern "C" void on_stop_signal(int /*sig*/) {
 
 int main(int argc, char** argv) {
   using namespace turtle;
-  util::Flags flags;
+  daemon::DaemonConfig config;
+  std::string snapshot_path;
   try {
-    flags = util::Flags::parse(argc, argv);
+    const util::Flags flags = util::Flags::parse(argc, argv);
     flags.reject_unknown("", {"bind", "tcp-port", "udp-port", "max-connections", "port-file",
                               "metrics-out", "idle-ms", "snapshot"});
+    config.bind_addr = flags.get_string("bind", "127.0.0.1");
+    config.tcp_port = static_cast<std::uint16_t>(flags.get_int_in("tcp-port", 0, 0, 65535));
+    config.udp_port = static_cast<std::uint16_t>(flags.get_int_in("udp-port", 0, 0, 65535));
+    config.max_connections = static_cast<std::size_t>(
+        flags.get_int_in("max-connections", 1024, 1, std::numeric_limits<std::int64_t>::max()));
+    config.port_file = flags.get_string("port-file", "");
+    config.metrics_out = flags.get_string("metrics-out", "");
+    // At most the largest window whose microseconds fit in uint64_t.
+    const std::int64_t idle_ms = flags.get_int_in(
+        "idle-ms", 60'000, 1,
+        static_cast<std::int64_t>(std::numeric_limits<std::uint64_t>::max() / 1000));
+    config.idle_us = static_cast<std::uint64_t>(idle_ms) * 1000;
+    snapshot_path = flags.get_string("snapshot", "");
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "turtled: %s\n", e.what());
     return 2;
   }
 
-  daemon::DaemonConfig config;
-  config.bind_addr = flags.get_string("bind", "127.0.0.1");
-  config.tcp_port = static_cast<std::uint16_t>(flags.get_int("tcp-port", 0));
-  config.udp_port = static_cast<std::uint16_t>(flags.get_int("udp-port", 0));
-  config.max_connections =
-      static_cast<std::size_t>(flags.get_int("max-connections", 1024));
-  config.port_file = flags.get_string("port-file", "");
-  config.metrics_out = flags.get_string("metrics-out", "");
-  const std::int64_t idle_ms = flags.get_int("idle-ms", 60'000);
-  if (idle_ms <= 0) {
-    std::fprintf(stderr, "turtled: --idle-ms must be positive\n");
-    return 2;
-  }
-  config.idle.idle_us = static_cast<std::uint64_t>(idle_ms) * 1000;
-
   std::shared_ptr<const serve::OracleSnapshot> snapshot;
-  const std::string snapshot_path = flags.get_string("snapshot", "");
   if (!snapshot_path.empty()) {
     std::string error;
     snapshot = serve::OracleSnapshot::map(snapshot_path, &error);
