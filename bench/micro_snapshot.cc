@@ -2,8 +2,8 @@
 //
 // Measures the two tentpole claims of the snapshot-v1 on-disk format:
 //
-//   1. cold-load speedup — OracleSnapshot::map() of the file (checksum +
-//      pointer-free section views) vs rebuilding the same snapshot from
+//   1. cold-load speedup — OracleSnapshot::map() of the file (one read,
+//      checksum, pointer-free section views) vs rebuilding the same snapshot from
 //      the record log (load + filtering pipeline + fold), reported as
 //      cold_load_speedup = rebuild_from_log_us / cold_load_to_first_query_us;
 //   2. bounded-memory build — the sharded streaming builder folds a log
@@ -14,9 +14,9 @@
 //
 // The build phase publishes the snapshot.build.* ledger and snapshot.*
 // gauges into --metrics-out, and a deterministic lookup sweep over the
-// mapped file fills snapshot.lookups / snapshot.lookup_timeout — the dump
+// loaded file fills snapshot.lookups / snapshot.lookup_timeout — the dump
 // is byte-identical across --jobs (the file itself is too; CI cmp's it).
-// The sweep also cross-checks the mapped file against an
+// The sweep also cross-checks the loaded file against an
 // OracleSnapshot::build of the same log: any field mismatch is a parity
 // failure and the bench exits non-zero.
 #include <chrono>
@@ -158,18 +158,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Phase 3: cold load — map the file and answer one query. This is the
+  // Phase 3: cold load — load the file and answer one query. This is the
   // crash-recovery path OracleServer prefers; the cost is dominated by the
   // full-file checksum, not by rebuilding any state.
   const auto first_addr = net::Prefix24::from_network(10u << 16).address(1);
   double cold_us = 0;
-  std::shared_ptr<const serve::OracleSnapshot> mapped;
+  std::shared_ptr<const serve::OracleSnapshot> loaded;
   {
     const double t0 = monotonic_seconds();
     std::string error;
-    mapped = serve::OracleSnapshot::map(snap_path, &error);
-    TURTLE_CHECK(mapped != nullptr) << "map failed: " << error;
-    const serve::LookupResult first = mapped->lookup(first_addr, 95, 95);
+    loaded = serve::OracleSnapshot::map(snap_path, &error);
+    TURTLE_CHECK(loaded != nullptr) << "load failed: " << error;
+    const serve::LookupResult first = loaded->lookup(first_addr, 95, 95);
     cold_us = (monotonic_seconds() - t0) * 1e6;
     TURTLE_CHECK_GT(first.samples, 0u);
   }
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
               cold_us > 0 ? rebuild_us / cold_us : 0.0);
 
   // Phase 5: deterministic serve sweep, double-booked as the parity gate.
-  // Mapped and in-memory answers must agree on every field; the sweep also
+  // Loaded and in-memory answers must agree on every field; the sweep also
   // fills the snapshot.* lookup metrics that --metrics-out ships (and that
   // validate_obs.py --snapshot cross-checks against the file header).
   obs::Registry& registry = report.registry();
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
         net::Prefix24::from_network((10u << 16) + static_cast<std::uint32_t>(b));
     for (const double coverage : {50.0, 95.0, 99.0}) {
       const auto addr = prefix.address(1);
-      const serve::LookupResult got = mapped->lookup(addr, coverage, 95);
+      const serve::LookupResult got = loaded->lookup(addr, coverage, 95);
       const serve::LookupResult want = rebuilt->lookup(addr, coverage, 95);
       lookups.inc();
       timeouts.observe(got.timeout);
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
   std::remove(log_path.c_str());
   if (!keep_snapshot) std::remove(snap_path.c_str());
   if (mismatches > 0) {
-    std::fprintf(stderr, "# FAIL: %lld mapped-vs-built lookup mismatches\n",
+    std::fprintf(stderr, "# FAIL: %lld loaded-vs-built lookup mismatches\n",
                  static_cast<long long>(mismatches));
     return 1;
   }

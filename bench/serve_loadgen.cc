@@ -13,7 +13,7 @@
 //
 // Snapshot-file round trip: --snapshot-out=PATH writes shard 0's serving
 // snapshot as a snapshot-v1 file; --snapshot-in=PATH serves every shard
-// from a zero-copy map of that file instead of building one, and wires
+// from one load of that file instead of building one, and wires
 // the path into crash recovery so a crashed server *reloads* the file
 // (serve.snapshot_reloads) rather than rebuilding from the frozen log.
 //
@@ -114,13 +114,13 @@ int main(int argc, char** argv) {
   const bool flight_enabled =
       !flight_out.empty() || !prom_out.empty() || slo_rules != nullptr;
 
-  // A mapped snapshot file is immutable and lock-free, so one mapping can
-  // serve every shard concurrently.
-  std::shared_ptr<const serve::OracleSnapshot> mapped_snapshot;
+  // A loaded snapshot is immutable and lock-free, so one load can serve
+  // every shard concurrently.
+  std::shared_ptr<const serve::OracleSnapshot> loaded_snapshot;
   if (!snapshot_in.empty()) {
     std::string error;
-    mapped_snapshot = serve::OracleSnapshot::map(snapshot_in, &error, &report.registry());
-    TURTLE_CHECK(mapped_snapshot != nullptr)
+    loaded_snapshot = serve::OracleSnapshot::map(snapshot_in, &error, &report.registry());
+    TURTLE_CHECK(loaded_snapshot != nullptr)
         << "--snapshot-in " << snapshot_in << ": " << error;
   }
 
@@ -165,8 +165,8 @@ int main(int argc, char** argv) {
         serve::SnapshotConfig snap_config;
         snap_config.version = 1;
         auto snapshot_v1 =
-            mapped_snapshot != nullptr
-                ? mapped_snapshot
+            loaded_snapshot != nullptr
+                ? loaded_snapshot
                 : std::make_shared<const serve::OracleSnapshot>(
                       swap ? serve::OracleSnapshot::build(
                                  truncate_log(prober.log(),

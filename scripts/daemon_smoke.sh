@@ -4,15 +4,20 @@
 # Proves the acceptance criteria end to end on a real socket round trip:
 #
 #   0. an unknown flag, and a numeric flag that is malformed or out of
-#      range, exits 2 naming the flag; a daemon started without a
-#      snapshot answers a zero timeout that turtlectl does not adopt as
-#      its deadline (it keeps the 5 s bootstrap cap);
-#   1. turtled serving a mmap'd snapshot-v1 file answers QUERY over both
-#      TCP and UDP, and every network answer is byte-identical to
-#      `turtlectl --local` running the same lookup + codec in-process on
-#      the same file — the daemon serves the oracle unmodified;
+#      range, exits 2 naming the flag; a snapshot header whose counts wrap
+#      the 64-bit layout sum fails validate_obs.py --snapshot and is
+#      refused by turtlectl --local (exit 2) and turtled (exit 1), never
+#      an abort; a daemon started without a snapshot answers a zero
+#      timeout that turtlectl does not adopt as its deadline (it keeps the
+#      5 s bootstrap cap);
+#   1. turtled serving a snapshot-v1 file, read and validated once into
+#      its own memory, answers QUERY over both TCP and UDP, and every
+#      network answer is byte-identical to `turtlectl --local` running the
+#      same lookup + codec in-process on the same file — the daemon serves
+#      the oracle unmodified;
 #   2. hot SWAP succeeds mid-traffic and subsequent answers carry the new
-#      snapshot version;
+#      snapshot version; rewriting the served file in place and then
+#      truncating it, mid-traffic, change no answer and no VERSION;
 #   3. malformed input gets a counted ERR, never a crash;
 #   4. QUIT runs the graceful drain: the daemon exits 0 and its metrics
 #      dump passes validate_obs.py --serve (offered == daemon.proto.queries
@@ -109,6 +114,38 @@ expect_usage_error port "$TURTLECTL" --port=70000 query 10.0.0.1
 expect_usage_error timeout-ms "$TURTLECTL" --port=4774 --timeout-ms=abc query 10.0.0.1
 expect_usage_error timeout-ms "$TURTLECTL" --port=4774 --timeout-ms=-1 query 10.0.0.1
 
+# A header-only file with valid checksums whose counts (R = 2^31-1,
+# C = 2^30-1) wrap an unchecked 64-bit layout sum to its own 256 bytes.
+python3 - "$WORK/crafted.snap" <<'EOF'
+import struct, sys
+sys.path.insert(0, "scripts")
+from validate_obs import crc64
+rows, cols = 2**31 - 1, 2**30 - 1
+rows_at = 264
+cols_at = rows_at + rows * 8
+cells_at = cols_at + cols * 8
+file_bytes = (cells_at + rows * cols * 8) % 2**64
+assert file_bytes == 256
+header = b"TRTLSNAP" + struct.pack("<IIQQQQQQQQ", 1, 256, file_bytes, crc64(b""), 0, 41,
+                                   0, 0, 0, 0)
+header += struct.pack("<6I", 1, 0, 0, rows, cols, 1)
+header += struct.pack("<9Q", 256, *[rows_at] * 6, cols_at, cells_at)
+header = bytearray(header.ljust(256, b"\0"))
+header[32:40] = struct.pack("<Q", crc64(bytes(header)))
+open(sys.argv[1], "wb").write(header)
+EOF
+if python3 scripts/validate_obs.py --snapshot "$WORK/crafted.snap" > /dev/null 2>&1; then
+  fail "validate_obs.py --snapshot passed the crafted header"
+fi
+rc=0
+"$TURTLECTL" --local="$WORK/crafted.snap" query 10.0.0.1 > /dev/null 2> "$WORK/crafted.err" || rc=$?
+[ "$rc" -eq 2 ] || fail "turtlectl --local on the crafted header exited $rc, want 2"
+grep -q "cannot load" "$WORK/crafted.err" || fail "turtlectl --local gave no error: $(cat "$WORK/crafted.err")"
+rc=0
+timeout 10 "$TURTLED" --snapshot="$WORK/crafted.snap" > /dev/null 2> "$WORK/crafted.err" || rc=$?
+[ "$rc" -eq 1 ] || fail "turtled --snapshot= on the crafted header exited $rc, want 1"
+grep -q "cannot load" "$WORK/crafted.err" || fail "turtled gave no error: $(cat "$WORK/crafted.err")"
+
 launch "$WORK/bare-ports.txt"
 "$TURTLECTL" --port-file="$WORK/bare-ports.txt" query 10.0.0.1 \
   2> "$WORK/bare-bootstrap.err" > "$WORK/bare.out" || fail "snapshotless query"
@@ -119,7 +156,8 @@ grep -qx "# timeout from oracle: 5000 ms" "$WORK/bare-bootstrap.err" || \
 "$TURTLECTL" --port-file="$WORK/bare-ports.txt" --timeout-ms=5000 quit > /dev/null || \
   fail "snapshotless QUIT"
 await_exit
-echo "daemon_smoke: typos and bad numeric flags exit 2; a snapshotless daemon's zero timeout is not adopted"
+echo "daemon_smoke: typos and bad numeric flags exit 2; a crafted header is refused;" \
+  "a snapshotless daemon's zero timeout is not adopted"
 
 # --- Launch on ephemeral loopback ports. -----------------------------------
 launch "$WORK/ports.txt" --snapshot="$WORK/v41.snap" --metrics-out="$WORK/metrics.json"
@@ -178,6 +216,33 @@ if ctl swap /nonexistent.snap > "$WORK/swapfail.out"; then
 fi
 grep -q "^ERR swap-failed" "$WORK/swapfail.out" || fail "bad SWAP reply"
 echo "daemon_smoke: hot swap 41 -> 42 under concurrent traffic"
+
+# --- 3b. The served file changes on disk mid-traffic. ---------------------
+# turtled serves the image it read at the SWAP: an in-place rewrite by the
+# repo's own writer, then a truncation, change nothing until the next
+# SWAP. No SWAP here, so step 4's swap ledger stands.
+answers() {
+  for q in "${queries[@]}"; do
+    # shellcheck disable=SC2086
+    ctl $q || fail "TCP $q after the served file changed"
+  done
+  ctl version || fail "VERSION after the served file changed"
+}
+served=$(answers)
+grep -qx "OK VERSION proto=1 snapshot=42" <<< "$served" || fail "not serving v42: $served"
+(
+  for _ in $(seq 1 40); do
+    ctl --udp=true query 10.0.1.1 > /dev/null 2>&1 || true
+  done
+) &
+TRAFFIC_PID=$!
+"$BUILD"/bench/micro_snapshot --blocks=50 --addrs=8 --rounds=20 \
+  --snapshot-out="$WORK/v42.snap" --snapshot-version=43 --seed=7 > /dev/null
+[ "$(answers)" = "$served" ] || fail "answers changed after an in-place rewrite of the served file"
+: > "$WORK/v42.snap"
+[ "$(answers)" = "$served" ] || fail "answers changed after the served file was truncated"
+wait "$TRAFFIC_PID"
+echo "daemon_smoke: rewriting and truncating the served file changed no answer"
 
 # --- 4. Graceful shutdown + ledger validation. -----------------------------
 ctl quit | grep -q "^OK BYE$" || fail "QUIT reply"

@@ -202,7 +202,7 @@ def validate_serve(metrics):
           f"served {c('serve.served')}")
 
     # Crash recovery actually recovered a snapshot — either the preferred
-    # zero-copy reload of the snapshot file or the rebuild-from-log path.
+    # reload of the snapshot file or the rebuild-from-log path.
     if c("fault.serve.crashes") > 0:
         check(c("serve.snapshot_rebuilds") + c("serve.snapshot_reloads") >= 1,
               "serve: server crashed but never reloaded or rebuilt a snapshot")
@@ -398,6 +398,21 @@ SNAPSHOT_MAGIC = b"TRTLSNAP"
 SNAPSHOT_HEADER_BYTES = 256
 
 
+def snapshot_layout(percentiles, blocks, ases, rows, cols):
+    """The one valid layout for these counts: (file_bytes, nine section
+    offsets). Python integers cannot wrap, so a header whose counts
+    overflow 64 bits in C++ cannot match the file it sits in."""
+    align8 = lambda offset: (offset + 7) & ~7
+    aggregate = 8 + percentiles * 128
+    offsets, cursor = [], SNAPSHOT_HEADER_BYTES
+    for size in (percentiles * 8, blocks * 4, blocks * 4, blocks * aggregate,
+                 ases * 4, ases * aggregate, rows * 8, cols * 8, rows * cols * 8):
+        cursor = align8(cursor)
+        offsets.append(cursor)
+        cursor += size
+    return align8(cursor), offsets
+
+
 def validate_snapshot(path, metrics):
     with open(path, "rb") as f:
         data = f.read()
@@ -423,7 +438,14 @@ def validate_snapshot(path, metrics):
           f"snapshot: body crc {computed_body_crc:#x} != stored {body_crc:#x}")
 
     total_samples = struct.unpack_from("<Q", data, 48)[0]
-    block_count, as_count = struct.unpack_from("<II", data, 84)
+    percentile_count, block_count, as_count, rows, cols = struct.unpack_from("<5I", data, 80)
+    planned_bytes, planned_offsets = snapshot_layout(percentile_count, block_count, as_count,
+                                                     rows, cols)
+    check(planned_bytes == file_bytes,
+          f"snapshot: header counts lay out {planned_bytes} bytes, header declares {file_bytes}")
+    offsets = list(struct.unpack_from("<9Q", data, 104))
+    check(offsets == planned_offsets,
+          f"snapshot: section offsets {offsets} != layout of the counts {planned_offsets}")
 
     # The header's tier counts must be the counts the build served into the
     # metrics registry — the file and the observability agree.

@@ -30,7 +30,7 @@ class P2Quantile {
   /// Frozen marker state, the unit the snapshot file format persists. The
   /// increments are derived from q alone, so they are not stored; restore()
   /// recomputes them. value() of a restored estimator is bitwise identical
-  /// to the original's — the parity guarantee mapped snapshots rely on.
+  /// to the original's — the parity guarantee snapshot lookups rely on.
   struct State {
     std::uint64_t count = 0;
     std::array<double, 5> heights{};

@@ -288,8 +288,8 @@ void OracleServer::crash(SimTime restart_delay) {
 }
 
 void OracleServer::restart() {
-  // Recovery ladder, all outside the lock: (1) zero-copy reload of the
-  // snapshot file — O(checksum) instead of O(rebuild); (2) the rebuild
+  // Recovery ladder, all outside the lock: (1) reload of the snapshot
+  // file — O(read + checksum) instead of O(rebuild); (2) the rebuild
   // hook (checkpointed record log); (3) serve global defaults snapshotless.
   // A rejected file is counted (fault.snapshot.load_rejected inside map())
   // and falls through — recovery degrades, never wedges.

@@ -63,8 +63,8 @@ struct ServerConfig {
   net::Ipv4Address client_addr = net::Ipv4Address::from_octets(198, 51, 100, 1);
   net::Ipv4Address server_addr = net::Ipv4Address::from_octets(198, 51, 100, 2);
 
-  /// When set, crash recovery first tries OracleSnapshot::map(path) — a
-  /// zero-copy reload of the snapshot-v1 file, orders of magnitude
+  /// When set, crash recovery first tries OracleSnapshot::map(path) — one
+  /// read and checksum of the snapshot-v1 file, orders of magnitude
   /// cheaper than rebuilding from the record log (micro_snapshot measures
   /// the ratio). A reload counts under serve.snapshot_reloads; on any
   /// validation failure (counted fault.snapshot.load_rejected) recovery

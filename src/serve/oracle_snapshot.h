@@ -7,10 +7,10 @@
 // snapshot turns one survey's record log into a queryable structure with
 // three tiers of answer, most specific first:
 //
-//   * per-/24-block pooled-ping quantiles, held as core::P2Quantile
-//     estimators (five markers, ~40 bytes per tracked quantile) so a
-//     million-block snapshot stays cheap — the same bounded-state argument
-//     the paper makes for prober timeout state (Section 2.1);
+//   * per-/24-block pooled-ping quantiles, held as frozen core::P2Quantile
+//     marker states (five markers per tracked quantile) so a million-block
+//     snapshot stays cheap — the same bounded-state argument the paper
+//     makes for prober timeout state (Section 2.1);
 //   * per-AS quantiles (same estimators pooled over the AS's blocks),
 //     attributed through the hosts::GeoDatabase, for blocks with too few
 //     samples of their own;
@@ -18,27 +18,28 @@
 //     core::recommend_timeout — by construction, a global-scope lookup is
 //     *exactly* the offline recommendation for the same matrix cell.
 //
-// Snapshots are immutable after build() and carry a version; the serving
-// layer (OracleServer) hot-swaps to a newer snapshot atomically while
-// in-flight requests finish on the one they were dispatched against.
+// A snapshot has one representation however it was made: a validated
+// snapshot-v1 image (snapshot_format.h, DESIGN §15) in a heap buffer it
+// owns. build() serializes what it folds into that image; map() reads a
+// file into it. Every lookup reads the image through one
+// snapshot_format::View. Snapshots are immutable and carry a version; the
+// serving layer hot-swaps to a newer one atomically while in-flight
+// requests finish on the one they were dispatched against.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/dataset.h"
 #include "analysis/percentiles.h"
-#include "core/p2_quantile.h"
 #include "hosts/geodb.h"
 #include "net/ipv4.h"
 #include "obs/metrics.h"
 #include "probe/records.h"
 #include "serve/snapshot_format.h"
-#include "util/mmap_file.h"
 #include "util/sim_time.h"
 
 namespace turtle::serve {
@@ -83,25 +84,29 @@ struct LookupResult {
   std::uint64_t version = 0;
 };
 
-/// Immutable per-survey index. Build once, share via shared_ptr, never
-/// mutate — the serving layer relies on snapshots being frozen.
+/// Immutable per-survey index. Build or load once, share via shared_ptr,
+/// never mutate — the serving layer relies on snapshots being frozen.
+///
+/// Move-only: the view points into the owned image, and a move hands the
+/// image's heap buffer over without relocating it.
 ///
 /// Thread contract (checked by -Wthread-safety at the call sites): a
-/// snapshot deliberately holds no mutex of its own. Every mutation
-/// (`fold`, the build statics) happens before the object is shared, every
-/// public const accessor reads only frozen state (core::P2Quantile::value
-/// is const with no mutable members), so concurrent lookup() calls from
-/// many serving threads need no lock. The one guarded thing is *which*
-/// snapshot is live, and that pointer lives in OracleServer under its
-/// mu_ (TURTLE_GUARDED_BY) — in-flight requests keep their dispatch-time
-/// shared_ptr, so a hot-swap never frees a snapshot mid-lookup.
+/// snapshot deliberately holds no mutex of its own. The image is written
+/// and validated before the constructor runs, and every public const
+/// accessor only reads it (a lookup restores a P2Quantile by value), so
+/// concurrent lookup() calls from many serving threads need no lock. The
+/// one guarded thing is *which* snapshot is live, and that pointer lives
+/// in OracleServer under its mu_ (TURTLE_GUARDED_BY) — in-flight requests
+/// keep their dispatch-time shared_ptr, so a hot-swap never frees a
+/// snapshot mid-lookup.
 class OracleSnapshot {
  public:
   /// Builds from a grouped dataset (mutated by the filtering pipeline —
   /// pass a fresh one). `geo`, when given, enables the AS tier; without it
   /// lookups fall back block -> global. The pipeline's broadcast and
   /// duplicate filters run first, so poisoned responders never contribute
-  /// to any tier's quantiles.
+  /// to any tier's quantiles. The folded tiers are serialized into the
+  /// snapshot's image, exactly the bytes write() later emits.
   static OracleSnapshot build(analysis::SurveyDataset& dataset, SnapshotConfig config = {},
                               const hosts::GeoDatabase* geo = nullptr);
 
@@ -111,21 +116,27 @@ class OracleSnapshot {
   static OracleSnapshot build(const probe::RecordLog& log, SnapshotConfig config = {},
                               const hosts::GeoDatabase* geo = nullptr);
 
-  /// Serializes to the snapshot-v1 on-disk format (snapshot_format.h,
-  /// DESIGN §15). Output is byte-identical for identical logical content:
-  /// blocks and ASes are written key-sorted, and the P2 marker states are
-  /// frozen exactly — which is why a streaming build and an in-memory
-  /// build of the same log produce `cmp`-equal files.
+  OracleSnapshot(OracleSnapshot&&) noexcept = default;
+  OracleSnapshot& operator=(OracleSnapshot&&) noexcept = default;
+  OracleSnapshot(const OracleSnapshot&) = delete;
+  OracleSnapshot& operator=(const OracleSnapshot&) = delete;
+
+  /// Writes the snapshot-v1 image (snapshot_format.h, DESIGN §15). The
+  /// bytes are a pure function of the logical content: blocks and ASes
+  /// are key-sorted, and the P2 marker states are frozen exactly — which
+  /// is why a streaming build and an in-memory build of the same log
+  /// produce `cmp`-equal files. Throws std::runtime_error on I/O failure.
   void write(const std::string& path) const;
   void write(std::ostream& os) const;
 
-  /// Zero-copy load: maps `path` and serves lookups directly from the
-  /// image (binary search over the sorted key sections; no pointer fixup,
-  /// no rebuild). Cold-load cost is one checksum pass over the file. On
-  /// any validation failure (missing file, truncation, bit flip, version
-  /// mismatch) returns nullptr, fills `error`, and counts
-  /// fault.snapshot.load_rejected on `registry` — tolerant-loading
-  /// discipline: corrupt inputs are counted and refused, never served.
+  /// Loads `path`: one read of the regular file into a buffer sized from
+  /// it, then the header and both checksums are validated. Later changes
+  /// to the file never reach the snapshot. On any failure (missing file,
+  /// not a regular file, short read, truncation, bit flip, version
+  /// mismatch, counts whose layout overflows) returns nullptr, fills
+  /// `error`, and counts fault.snapshot.load_rejected on `registry` —
+  /// tolerant-loading discipline: corrupt inputs are counted and refused,
+  /// never served.
   static std::shared_ptr<const OracleSnapshot> map(const std::string& path,
                                                    std::string* error = nullptr,
                                                    obs::Registry* registry = nullptr);
@@ -142,17 +153,10 @@ class OracleSnapshot {
                                     double ping_coverage,
                                     LookupScope min_scope = LookupScope::kBlock) const;
 
-  [[nodiscard]] std::uint64_t version() const { return config_.version; }
-  [[nodiscard]] std::size_t block_count() const {
-    return mapped_ ? view_.header().block_count : blocks_.size();
-  }
-  [[nodiscard]] std::size_t as_count() const {
-    return mapped_ ? view_.header().as_count : ases_.size();
-  }
-  [[nodiscard]] std::uint64_t total_samples() const { return total_samples_; }
-  /// True when this snapshot serves from a mapped file instead of owned
-  /// heap aggregates.
-  [[nodiscard]] bool mapped() const { return mapped_; }
+  [[nodiscard]] std::uint64_t version() const { return view_.header().snapshot_version; }
+  [[nodiscard]] std::size_t block_count() const { return view_.header().block_count; }
+  [[nodiscard]] std::size_t as_count() const { return view_.header().as_count; }
+  [[nodiscard]] std::uint64_t total_samples() const { return view_.header().total_samples; }
   /// True when the underlying survey produced any usable addresses.
   [[nodiscard]] bool has_data() const { return !matrix_.cells.empty(); }
 
@@ -164,48 +168,27 @@ class OracleSnapshot {
   [[nodiscard]] std::uint64_t block_samples(net::Ipv4Address addr) const;
 
  private:
-  /// One tier's pooled-ping quantile estimators: P2 markers per configured
-  /// percentile plus the pool size.
-  struct Aggregate {
-    std::vector<core::P2Quantile> quantiles;
-    std::uint64_t samples = 0;
-  };
+  /// Adopts `image`, which `view` has already validated.
+  OracleSnapshot(std::unique_ptr<unsigned char[]> image, const snapshot_format::View& view);
 
-  explicit OracleSnapshot(SnapshotConfig config) : config_{std::move(config)} {}
-
-  [[nodiscard]] Aggregate make_aggregate() const;
-  void fold(Aggregate& aggregate, double rtt_s);
-  [[nodiscard]] const Aggregate* find_block(std::uint32_t network) const;
-  [[nodiscard]] const Aggregate* find_as(std::uint32_t network) const;
   [[nodiscard]] std::size_t percentile_index(double p) const;
 
+  /// Index of `network` in the sorted block-key section, if present.
+  [[nodiscard]] bool block_index(std::uint32_t network, std::size_t& index) const;
+
   /// Tier probes behind lookup(): find the /24 (or its AS) aggregate and
-  /// produce its pool size plus the p-th quantile estimate, from either
-  /// the owned aggregates or the mapped image. The mapped path restores
-  /// the frozen P2 state and evaluates the *same* value() code, which is
-  /// what makes the two modes bitwise-identical (the parity test's claim).
+  /// produce its pool size plus the p-th quantile estimate, restored from
+  /// the frozen P2 state by the *same* value() code the build folded with.
   [[nodiscard]] bool probe_block(std::uint32_t network, std::size_t p, std::uint64_t& samples,
                                  double& value) const;
   [[nodiscard]] bool probe_as(std::uint32_t network, std::size_t p, std::uint64_t& samples,
                               double& value) const;
-  /// Index of `network` in the mapped sorted block-key section, if present.
-  [[nodiscard]] bool mapped_block_index(std::uint32_t network, std::size_t& index) const;
 
-  SnapshotConfig config_;
-  std::unordered_map<std::uint32_t, std::size_t> block_index_;  // /24 network -> blocks_
-  std::vector<Aggregate> blocks_;
-  std::unordered_map<std::uint32_t, std::size_t> as_index_;  // asn -> ases_
-  std::vector<Aggregate> ases_;
-  std::unordered_map<std::uint32_t, std::uint32_t> block_asn_;  // /24 network -> asn
+  std::unique_ptr<unsigned char[]> image_;
+  snapshot_format::View view_;  ///< over image_
+  /// Materialized from the image: global lookups hand it to
+  /// core::recommend_timeout.
   analysis::TimeoutMatrix matrix_;
-  std::uint64_t total_samples_ = 0;
-
-  /// Mapped mode (map()): the file mapping plus the typed view over it.
-  /// The owned containers above stay empty; lookups binary-search the
-  /// image's sorted key sections instead.
-  util::MappedFile file_;
-  snapshot_format::View view_;
-  bool mapped_ = false;
 };
 
 }  // namespace turtle::serve

@@ -2,13 +2,14 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "util/check.h"
 
 // The format is defined as little-endian on disk and the readers below
-// cast mapped bytes in place; a big-endian port would need byte-swapping
+// cast image bytes in place; a big-endian port would need byte-swapping
 // accessors here (and only here — that is the point of rule D6).
 static_assert(std::endian::native == std::endian::little,
               "snapshot-v1 readers assume a little-endian host");
@@ -46,24 +47,28 @@ bool fail(std::string* error, const std::string& message) {
 
 }  // namespace
 
-void plan_layout(Header& header) {
+bool plan_layout(Header& header) {
+  // Every section must end at or below kLimit, so neither count × width
+  // nor the running offset wraps, and align8 cannot either. Unchecked, a
+  // crafted header with R = 2^31-1 and C = 2^30-1 wraps to 256 bytes.
+  constexpr std::uint64_t kLimit = std::numeric_limits<std::uint64_t>::max() - 7;
   const std::uint64_t agg = aggregate_bytes(header.percentile_count);
   std::uint64_t cursor = kHeaderBytes;
-  const auto place = [&](Section s, std::uint64_t size) {
+  const auto place = [&](Section s, std::uint64_t count, std::uint64_t width) {
     cursor = align8(cursor);
     header.section_offsets[s] = cursor;
-    cursor += size;
+    if (count != 0 && width > (kLimit - cursor) / count) return false;
+    cursor += count * width;
+    return true;
   };
-  place(kPercentiles, std::uint64_t{header.percentile_count} * 8);
-  place(kBlockKeys, std::uint64_t{header.block_count} * 4);
-  place(kBlockAsn, std::uint64_t{header.block_count} * 4);
-  place(kBlockAggs, std::uint64_t{header.block_count} * agg);
-  place(kAsKeys, std::uint64_t{header.as_count} * 4);
-  place(kAsAggs, std::uint64_t{header.as_count} * agg);
-  place(kMatrixRows, std::uint64_t{header.matrix_rows} * 8);
-  place(kMatrixCols, std::uint64_t{header.matrix_cols} * 8);
-  place(kMatrixCells, std::uint64_t{header.matrix_rows} * header.matrix_cols * 8);
+  const bool fits =
+      place(kPercentiles, header.percentile_count, 8) && place(kBlockKeys, header.block_count, 4) &&
+      place(kBlockAsn, header.block_count, 4) && place(kBlockAggs, header.block_count, agg) &&
+      place(kAsKeys, header.as_count, 4) && place(kAsAggs, header.as_count, agg) &&
+      place(kMatrixRows, header.matrix_rows, 8) && place(kMatrixCols, header.matrix_cols, 8) &&
+      place(kMatrixCells, std::uint64_t{header.matrix_rows} * header.matrix_cols, 8);
   header.file_bytes = align8(cursor);
+  return fits;
 }
 
 bool parse_header(const unsigned char* data, std::size_t size, Header& out, std::string* error) {
@@ -111,7 +116,7 @@ bool parse_header(const unsigned char* data, std::size_t size, Header& out, std:
   // the stored offsets match exactly. A header cannot point sections
   // anywhere the counts do not dictate.
   Header planned = header;
-  plan_layout(planned);
+  if (!plan_layout(planned)) return fail(error, "header counts overflow the section layout");
   if (planned.file_bytes != header.file_bytes) {
     return fail(error, "file size inconsistent with header counts");
   }
@@ -129,6 +134,8 @@ bool parse_header(const unsigned char* data, std::size_t size, Header& out, std:
 }
 
 bool View::open(const unsigned char* data, std::size_t size, View& out, std::string* error) {
+  TURTLE_CHECK_EQ(reinterpret_cast<std::uintptr_t>(data) % 8, 0u)
+      << "snapshot image must be 8-byte aligned";
   Header header;
   if (!parse_header(data, size, header, error)) return false;
   const std::uint64_t crc = util::crc64(data + kHeaderBytes, size - kHeaderBytes);
@@ -144,8 +151,13 @@ const unsigned char* View::section(Section s) const {
 }
 
 // The casts below are the format's single audited deserialization point
-// (turtlint rule D6): offsets are 8-byte aligned by plan_layout and the
-// mapping is page-aligned, so every cast target is properly aligned.
+// (turtlint rule D6): offsets are 8-byte aligned by plan_layout, and the
+// image sits in an operator new buffer, which is 16-byte aligned (open()
+// checks 8), so every cast target is properly aligned.
+std::string_view View::image() const {
+  return {reinterpret_cast<const char*>(data_), static_cast<std::size_t>(header_.file_bytes)};
+}
+
 std::span<const double> View::percentiles() const {
   return {reinterpret_cast<const double*>(section(kPercentiles)), header_.percentile_count};
 }
@@ -213,7 +225,8 @@ analysis::TimeoutMatrix View::matrix() const {
 }
 
 Writer::Writer(std::ostream& os, Header header) : os_{os}, header_{header} {
-  plan_layout(header_);
+  const bool fits = plan_layout(header_);
+  TURTLE_CHECK(fits) << "snapshot counts overflow the section layout";
   const std::string placeholder(kHeaderBytes, '\0');
   os_.write(placeholder.data(), static_cast<std::streamsize>(placeholder.size()));
 }

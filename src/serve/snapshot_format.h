@@ -1,7 +1,8 @@
 // snapshot-v1: the oracle's single-file, versioned, checksummed on-disk
 // snapshot format — flat, offset-addressed arrays with no pointer fixup,
-// so a file can be mmap'd and served zero-copy (DESIGN §15 has the layout
-// diagram and the forward-compat policy for v2).
+// so a reader checks one in-memory copy of the file and answers lookups
+// straight from it (DESIGN §15 has the layout diagram and the
+// forward-compat policy for v2).
 //
 // Layout (all integers and doubles little-endian; every section offset
 // 8-byte aligned, a pure function of the header's counts):
@@ -22,8 +23,8 @@
 // core::P2Quantile marker states of 128 bytes each (u64 count + 5 heights
 // + 5 positions + 5 desired positions, f64). The quantile's q value and
 // marker increments are NOT stored: they are derived from the percentiles
-// section on restore, which is what makes a mapped lookup bitwise equal
-// to the in-memory one.
+// section on restore, which is what makes a lookup bitwise equal to the
+// estimator the builder folded.
 //
 // This file is the single audited deserialization point: turtlint rule D6
 // forbids reinterpret_cast reads of on-disk integers anywhere else under
@@ -36,6 +37,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/percentiles.h"
@@ -99,29 +101,34 @@ struct Header {
 };
 
 /// Computes the one valid layout (section offsets + file_bytes) for the
-/// given counts, in place.
-void plan_layout(Header& header);
+/// given counts, in place. Returns false when the layout does not fit in
+/// 64 bits: crafted counts must not wrap into a small file_bytes.
+[[nodiscard]] bool plan_layout(Header& header);
 
 /// Parses and structurally validates a header against the image size:
 /// magic, format version, file_bytes == size, offsets == plan_layout of
-/// the counts. Does NOT checksum the body (View::open does). On failure
-/// returns false and fills `error`.
+/// the counts (which must not overflow). Does NOT checksum the body
+/// (View::open does). On failure returns false and fills `error`.
 [[nodiscard]] bool parse_header(const unsigned char* data, std::size_t size, Header& out,
                                 std::string* error);
 
-/// Read-only typed view over a validated snapshot image. Zero-copy: the
-/// span accessors point straight into the mapped bytes; only the tiny
-/// things (the Table 2 matrix, the percentile list) are materialized.
+/// Read-only typed view over a validated snapshot image. The span
+/// accessors point straight into the image; only the tiny Table 2 matrix
+/// is materialized.
 class View {
  public:
-  /// Validates the header and the body checksum. On failure returns false
-  /// with a human-readable `error`; `out` is untouched. O(file bytes) for
-  /// the CRC — the price of never serving a torn page, and still orders
-  /// of magnitude cheaper than a rebuild (the bench records both).
+  /// Validates the header and the body checksum. `data` must be 8-byte
+  /// aligned (any operator new buffer is). On failure returns false with a
+  /// human-readable `error`; `out` is untouched. O(file bytes) for the
+  /// CRC — the price of never serving a torn image, and still orders of
+  /// magnitude cheaper than a rebuild (the bench records both).
   [[nodiscard]] static bool open(const unsigned char* data, std::size_t size, View& out,
                                  std::string* error);
 
   [[nodiscard]] const Header& header() const { return header_; }
+
+  /// The whole image, header included: what a writer emits.
+  [[nodiscard]] std::string_view image() const;
 
   [[nodiscard]] std::span<const double> percentiles() const;
   [[nodiscard]] std::span<const std::uint32_t> block_keys() const;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,9 +23,9 @@ namespace turtle::util {
 /// Key-sorted copy of an associative container's (key, value) pairs.
 /// Values are copied; use ordered_keys + lookups when values are heavy.
 template <typename Map>
-[[nodiscard]] std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
+[[nodiscard]] std::vector<std::pair<typename Map::key_type, typename Map::value_type::second_type>>
 ordered(const Map& map) {
-  std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>> pairs;
+  std::vector<std::pair<typename Map::key_type, typename Map::value_type::second_type>> pairs;
   pairs.reserve(map.size());
   for (const auto& [key, value] : map) pairs.emplace_back(key, value);
   std::sort(pairs.begin(), pairs.end(),
@@ -37,10 +38,10 @@ template <typename Set>
 [[nodiscard]] std::vector<typename Set::key_type> ordered_keys(const Set& container) {
   std::vector<typename Set::key_type> keys;
   keys.reserve(container.size());
-  if constexpr (requires { typename Set::mapped_type; }) {
-    for (const auto& [key, value] : container) keys.push_back(key);
-  } else {
+  if constexpr (std::is_same_v<typename Set::value_type, typename Set::key_type>) {
     for (const auto& key : container) keys.push_back(key);
+  } else {
+    for (const auto& [key, value] : container) keys.push_back(key);
   }
   std::sort(keys.begin(), keys.end());
   return keys;

@@ -2,7 +2,8 @@
 // driven through real sockets: a pipelined batch split across two writes,
 // a QUIT pipelined behind queries, a 1024-query burst in one iteration,
 // both sides of the write-buffer cutoff, the serve.* ledger, a daemon
-// started without a snapshot, idle reaping, and connection churn.
+// started without a snapshot, the served file changing on disk, idle
+// reaping, and connection churn.
 //
 // The daemon's EventLoop runs on a thread of its own and the test thread
 // is the client. Every case ends the daemon with a wire QUIT and joins
@@ -20,6 +21,9 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <future>
 #include <latch>
 #include <limits>
@@ -31,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crafted_snapshot.h"
 #include "daemon/daemon.h"
 #include "daemon/proto.h"
 #include "obs/metrics.h"
@@ -40,20 +45,22 @@
 namespace turtle::daemon {
 namespace {
 
-/// Two surveyed /24s, 4 hosts each, 10 matched responses per host with
-/// RTTs cycling 10..100 ms.
-std::shared_ptr<const serve::OracleSnapshot> make_snapshot(std::uint64_t version = 1) {
+/// The first `block_count` of two surveyed /24s, 4 hosts each, 10 matched
+/// responses per host with RTTs cycling through ten steps of `rtt_step_ms`.
+std::shared_ptr<const serve::OracleSnapshot> make_snapshot(std::uint64_t version = 1,
+                                                           std::size_t block_count = 2,
+                                                           int rtt_step_ms = 10) {
   probe::RecordLog log;
   const net::Ipv4Address blocks[] = {net::Ipv4Address::from_octets(10, 0, 0, 0),
                                      net::Ipv4Address::from_octets(10, 0, 1, 0)};
   for (int round = 0; round < 10; ++round) {
     int slot = 0;
-    for (const net::Ipv4Address block : blocks) {
+    for (std::size_t b = 0; b < block_count; ++b) {
       for (int host = 1; host <= 4; ++host, ++slot) {
         probe::SurveyRecord record;
-        record.address = net::Ipv4Address{block.value() + static_cast<std::uint32_t>(host)};
+        record.address = net::Ipv4Address{blocks[b].value() + static_cast<std::uint32_t>(host)};
         record.probe_time = SimTime::seconds(round * 660) + SimTime::micros(slot);
-        record.rtt = SimTime::millis(10 * (1 + (round + host) % 10));
+        record.rtt = SimTime::millis(rtt_step_ms * (1 + (round + host) % 10));
         record.round = static_cast<std::uint32_t>(round);
         log.append(record);
       }
@@ -590,6 +597,84 @@ TEST_F(DaemonLoopback, SnapshotlessDaemonAnswersDefaultsUntilASwap) {
   turtled.stop();
   EXPECT_EQ(turtled.counter("serve.snapshot_swaps"), 1u);
   EXPECT_EQ(turtled.registry().gauge("serve.snapshot_version").value(), 7);
+}
+
+TEST_F(DaemonLoopback, ServedFileChangingOnDiskChangesNothingUntilASwap) {
+  // turtled serves the image it read and validated at startup: no change
+  // to the file reaches an answer, or VERSION, before a SWAP of the path.
+  // A refused SWAP is counted and leaves the old snapshot answering.
+  struct Row {
+    const char* operation;
+    std::function<void(const std::string& path)> change;
+    std::string swap_reply;
+  };
+  const std::vector<Row> rows = {
+      {"truncate to 0 bytes",
+       [](const std::string& path) { std::filesystem::resize_file(path, 0); },
+       "ERR swap-failed snapshot smaller than its header"},
+      {"OracleSnapshot::write v43 in place",
+       [](const std::string& path) { make_snapshot(43, 2, 20)->write(path); },
+       "OK SWAP version=43 blocks=2"},
+      {"copy a smaller snapshot over it",
+       [](const std::string& path) {
+         const std::string smaller = path + ".smaller";
+         make_snapshot(44, 1)->write(smaller);
+         std::filesystem::copy_file(smaller, path,
+                                    std::filesystem::copy_options::overwrite_existing);
+         std::filesystem::remove(smaller);
+       },
+       "OK SWAP version=44 blocks=1"},
+      {"rename a new file over it",
+       [](const std::string& path) {
+         const std::string fresh = path + ".new";
+         make_snapshot(45, 2, 20)->write(fresh);
+         std::filesystem::rename(fresh, path);
+       },
+       "OK SWAP version=45 blocks=2"},
+      {"overwrite with a header whose layout wraps 64 bits",
+       [](const std::string& path) {
+         const std::string image = test::crafted_wrapping_snapshot();
+         std::ofstream{path, std::ios::binary | std::ios::trunc}.write(
+             image.data(), static_cast<std::streamsize>(image.size()));
+       },
+       "ERR swap-failed header counts overflow the section layout"},
+  };
+  const std::string path =
+      testing::TempDir() + "daemon_loopback_live_" + std::to_string(::getpid()) + ".snap";
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.operation);
+    make_snapshot(41)->write(path);
+    std::string error;
+    const std::shared_ptr<const serve::OracleSnapshot> served =
+        serve::OracleSnapshot::map(path, &error);
+    ASSERT_NE(served, nullptr) << error;
+    LoopbackDaemon turtled{served};
+    Client client{turtled.tcp_port()};
+    ASSERT_TRUE(client.connected());
+    const Batch batch = make_batch(*served, 0, 6);
+    const std::string wire = batch.wire(0, batch.lines.size()) + "VERSION\n";
+    std::vector<std::string> want = batch.replies;
+    want.push_back("OK VERSION proto=1 snapshot=41");
+    client.send(wire);
+    ASSERT_EQ(client.read_lines(want.size()), want);
+
+    row.change(path);
+    client.send(wire);
+    EXPECT_EQ(client.read_lines(want.size()), want);
+
+    client.send("SWAP " + path + "\n");
+    EXPECT_EQ(client.read_lines(1), std::vector<std::string>{row.swap_reply});
+    const bool refused = row.swap_reply.starts_with("ERR ");
+    if (refused) {
+      client.send(wire);
+      EXPECT_EQ(client.read_lines(want.size()), want);
+    }
+    turtled.stop();
+    EXPECT_EQ(turtled.counter("daemon.swap.failed"), refused ? 1u : 0u);
+    EXPECT_EQ(turtled.counter("fault.snapshot.load_rejected"), refused ? 1u : 0u);
+    EXPECT_EQ(turtled.counter("serve.snapshot_swaps"), refused ? 0u : 1u);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST_F(DaemonLoopback, SilentConnectionIsReapedAfterTheIdleWindowAChattyOneIsNot) {

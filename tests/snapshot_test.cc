@@ -1,17 +1,22 @@
-// snapshot-v1 on-disk format: write/map round trip, in-memory vs mapped
-// lookup parity, corruption rejection (counted, graceful), streaming
-// builder byte-identity with the in-memory serializer across --jobs, the
-// build ledger, and snapshot-file crash recovery.
+// snapshot-v1 on-disk format: write/map round trip, the tiers against
+// P2Quantiles folded in the test, corruption rejection (counted, graceful),
+// streaming builder byte-identity with the in-memory serializer across
+// --jobs, the build ledger, and snapshot-file crash recovery.
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/p2_quantile.h"
+#include "crafted_snapshot.h"
 #include "hosts/asdb.h"
 #include "hosts/geodb.h"
 #include "probe/records.h"
@@ -25,6 +30,7 @@
 namespace turtle {
 namespace {
 
+using serve::lookup_scope_name;
 using serve::LookupResult;
 using serve::LookupScope;
 using serve::OracleServer;
@@ -144,7 +150,15 @@ TEST(RecordStreaming, WriterReaderRoundTripMatchesLoad) {
   }
 }
 
+// The view points into the snapshot's own image: a copy would share it.
+static_assert(!std::is_copy_constructible_v<OracleSnapshot>);
+static_assert(!std::is_copy_assignable_v<OracleSnapshot>);
+static_assert(std::is_nothrow_move_constructible_v<OracleSnapshot>);
+static_assert(std::is_nothrow_move_assignable_v<OracleSnapshot>);
+
 TEST(SnapshotFile, InMemoryAndMappedAnswerIdentically) {
+  // The write -> reload round trip: a snapshot loaded from the file a
+  // built one wrote answers every lookup exactly like it.
   TestGeo geo;
   probe::RecordLog log = make_log({kBlockA, kBlockC}, 4, 10);
   const probe::RecordLog sparse = make_log({kBlockB}, 1, 8);
@@ -158,16 +172,14 @@ TEST(SnapshotFile, InMemoryAndMappedAnswerIdentically) {
   built.write(path);
 
   std::string error;
-  const std::shared_ptr<const OracleSnapshot> mapped = OracleSnapshot::map(path, &error);
-  ASSERT_NE(mapped, nullptr) << error;
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_FALSE(built.mapped());
+  const std::shared_ptr<const OracleSnapshot> loaded = OracleSnapshot::map(path, &error);
+  ASSERT_NE(loaded, nullptr) << error;
 
-  EXPECT_EQ(mapped->version(), built.version());
-  EXPECT_EQ(mapped->block_count(), built.block_count());
-  EXPECT_EQ(mapped->as_count(), built.as_count());
-  EXPECT_EQ(mapped->total_samples(), built.total_samples());
-  EXPECT_EQ(mapped->has_data(), built.has_data());
+  EXPECT_EQ(loaded->version(), built.version());
+  EXPECT_EQ(loaded->block_count(), built.block_count());
+  EXPECT_EQ(loaded->as_count(), built.as_count());
+  EXPECT_EQ(loaded->total_samples(), built.total_samples());
+  EXPECT_EQ(loaded->has_data(), built.has_data());
 
   // Satellite: identical LookupResult across an address sweep touching
   // every tier (block, AS bridge, dark-global) at every matrix cell.
@@ -177,11 +189,11 @@ TEST(SnapshotFile, InMemoryAndMappedAnswerIdentically) {
   };
   const std::vector<double> coverages = {1, 50, 80, 90, 95, 97, 98, 99};
   for (const net::Ipv4Address addr : sweep) {
-    EXPECT_EQ(mapped->block_samples(addr), built.block_samples(addr));
+    EXPECT_EQ(loaded->block_samples(addr), built.block_samples(addr));
     for (const double r : coverages) {
       for (const double c : coverages) {
         const LookupResult want = built.lookup(addr, r, c);
-        const LookupResult got = mapped->lookup(addr, r, c);
+        const LookupResult got = loaded->lookup(addr, r, c);
         EXPECT_EQ(got.timeout, want.timeout)
             << addr.to_string() << " (" << r << ", " << c << ")";
         EXPECT_EQ(got.scope, want.scope);
@@ -192,14 +204,66 @@ TEST(SnapshotFile, InMemoryAndMappedAnswerIdentically) {
     }
   }
   // Every matrix cell survives the round trip exactly.
-  ASSERT_EQ(mapped->matrix().cells.size(), built.matrix().cells.size());
+  ASSERT_EQ(loaded->matrix().cells.size(), built.matrix().cells.size());
   for (std::size_t r = 0; r < built.matrix().cells.size(); ++r) {
-    ASSERT_EQ(mapped->matrix().cells[r].size(), built.matrix().cells[r].size());
+    ASSERT_EQ(loaded->matrix().cells[r].size(), built.matrix().cells[r].size());
     for (std::size_t c = 0; c < built.matrix().cells[r].size(); ++c) {
-      EXPECT_EQ(mapped->matrix().cell(r, c), built.matrix().cell(r, c));
+      EXPECT_EQ(loaded->matrix().cell(r, c), built.matrix().cell(r, c));
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(SnapshotFile, TiersMatchP2QuantilesFoldedFromTheLog) {
+  // An independent reference for the block and AS tiers: the same RTTs
+  // folded into core::P2Quantile here, in log order. One address per
+  // block keeps the snapshot's fold order equal to log order; the AS
+  // tier folds its blocks in ascending network order (A before B).
+  TestGeo geo;
+  const probe::RecordLog log = make_log({kBlockA, kBlockB, kBlockC}, 1, 40);
+  auto config = small_config();
+  config.min_as_samples = 40;  // AS 65002 pools block C's 40 alone
+  const OracleSnapshot snapshot = OracleSnapshot::build(log, config, geo.geo.get());
+
+  struct Reference {
+    std::vector<core::P2Quantile> quantiles;
+    std::uint64_t samples = 0;
+  };
+  const auto folded = [&](std::initializer_list<net::Prefix24> blocks) {
+    Reference reference;
+    for (const double p : config.percentiles) reference.quantiles.emplace_back(p / 100.0);
+    for (const net::Prefix24 block : blocks) {
+      for (const probe::SurveyRecord& record : log.records()) {
+        if (net::Prefix24::containing(record.address) != block) continue;
+        for (core::P2Quantile& quantile : reference.quantiles) quantile.add(record.rtt.as_seconds());
+        ++reference.samples;
+      }
+    }
+    return reference;
+  };
+  struct Row {
+    net::Prefix24 block;
+    Reference at_block;
+    Reference at_as;
+  };
+  const std::vector<Row> rows = {
+      {kBlockA, folded({kBlockA}), folded({kBlockA, kBlockB})},  // AS 65001
+      {kBlockB, folded({kBlockB}), folded({kBlockA, kBlockB})},
+      {kBlockC, folded({kBlockC}), folded({kBlockC})},  // AS 65002
+  };
+  for (const Row& row : rows) {
+    for (std::size_t i = 0; i < config.percentiles.size(); ++i) {
+      const double p = config.percentiles[i];
+      for (const auto& [scope, reference] :
+           {std::pair{LookupScope::kBlock, &row.at_block}, std::pair{LookupScope::kAs, &row.at_as}}) {
+        const LookupResult got = snapshot.lookup(row.block.address(1), 95, p, scope);
+        EXPECT_EQ(got.scope, scope) << row.block.to_string() << " p" << p;
+        EXPECT_EQ(got.samples, reference->samples);
+        EXPECT_EQ(got.timeout, SimTime::from_seconds(reference->quantiles[i].value()))
+            << row.block.to_string() << " " << lookup_scope_name(scope) << " p" << p;
+      }
+    }
+  }
 }
 
 TEST(SnapshotFile, EmptySurveyRoundTrips) {
@@ -207,11 +271,11 @@ TEST(SnapshotFile, EmptySurveyRoundTrips) {
   const std::string path = temp_path("empty.snap");
   built.write(path);
   std::string error;
-  const auto mapped = OracleSnapshot::map(path, &error);
-  ASSERT_NE(mapped, nullptr) << error;
-  EXPECT_FALSE(mapped->has_data());
-  EXPECT_EQ(mapped->block_count(), 0u);
-  const LookupResult result = mapped->lookup(kBlockA.address(1), 95, 95);
+  const auto loaded = OracleSnapshot::map(path, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  EXPECT_FALSE(loaded->has_data());
+  EXPECT_EQ(loaded->block_count(), 0u);
+  const LookupResult result = loaded->lookup(kBlockA.address(1), 95, 95);
   EXPECT_EQ(result.scope, LookupScope::kGlobal);
   EXPECT_EQ(result.timeout, SimTime{});
   EXPECT_EQ(result.confidence, 0.0);
@@ -228,14 +292,17 @@ TEST(SnapshotFile, CorruptionIsRejectedGracefullyAndCounted) {
 
   obs::Registry registry;
   std::uint64_t expected_rejections = 0;
-  const auto expect_rejected = [&](const std::string& bytes, const char* what) {
-    write_file(path, bytes);
+  const auto expect_path_rejected = [&](const std::string& target, const char* what) {
     std::string error;
-    EXPECT_EQ(OracleSnapshot::map(path, &error, &registry), nullptr) << what;
+    EXPECT_EQ(OracleSnapshot::map(target, &error, &registry), nullptr) << what;
     EXPECT_FALSE(error.empty()) << what;
     ++expected_rejections;
     EXPECT_EQ(registry.counter("fault.snapshot.load_rejected").value(), expected_rejections)
         << what;
+  };
+  const auto expect_rejected = [&](const std::string& bytes, const char* what) {
+    write_file(path, bytes);
+    expect_path_rejected(path, what);
   };
 
   expect_rejected(good.substr(0, good.size() - 1), "truncated by one byte");
@@ -252,6 +319,17 @@ TEST(SnapshotFile, CorruptionIsRejectedGracefullyAndCounted) {
     expect_rejected(flipped, "bit flip in header");
   }
   expect_rejected(std::string{"not a snapshot"}, "wrong magic entirely");
+  expect_rejected(std::string{}, "empty file");
+  expect_rejected(test::crafted_wrapping_snapshot(), "counts whose layout wraps 64 bits");
+  // A sparse 1 TiB file is refused from its header, before any buffer is
+  // sized from the file.
+  write_file(path, std::string{});
+  std::filesystem::resize_file(path, std::uint64_t{1} << 40);
+  expect_path_rejected(path, "a sparse 1 TiB file");
+  const std::string directory = temp_path("corrupt.dir");
+  std::filesystem::create_directory(directory);
+  expect_path_rejected(directory, "a directory");
+  std::filesystem::remove(directory);
 
   // A missing file is the same counted, graceful error.
   std::remove(path.c_str());
@@ -316,11 +394,11 @@ TEST(SnapshotBuilder, StreamingBuildIsByteIdenticalToInMemoryAcrossJobs) {
 
   // Header tier counts match what the ledger reports.
   std::string error;
-  const auto mapped = OracleSnapshot::map(streamed_path, &error);
-  ASSERT_NE(mapped, nullptr) << error;
-  EXPECT_EQ(mapped->block_count(), ledger.block_count);
-  EXPECT_EQ(mapped->as_count(), ledger.as_count);
-  EXPECT_EQ(mapped->total_samples(), ledger.total_samples);
+  const auto loaded = OracleSnapshot::map(streamed_path, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  EXPECT_EQ(loaded->block_count(), ledger.block_count);
+  EXPECT_EQ(loaded->as_count(), ledger.as_count);
+  EXPECT_EQ(loaded->total_samples(), ledger.total_samples);
 
   for (const std::string& path : {log_path, in_memory_path, streamed_path, streamed_j4_path}) {
     std::remove(path.c_str());
@@ -389,7 +467,7 @@ TEST(OracleServer, CrashRecoveryPrefersSnapshotFileReload) {
   sim.run();
   server.finalize();
 
-  // Recovery came from the mapped file: version 5, no rebuild call.
+  // Recovery came from the snapshot file: version 5, no rebuild call.
   ASSERT_EQ(versions.size(), 1u);
   EXPECT_EQ(versions[0], 5u);
   EXPECT_FALSE(rebuild_called);

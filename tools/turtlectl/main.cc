@@ -10,7 +10,7 @@
 //
 //   * TCP (default) and UDP (--udp) talk to a running turtled;
 //   * --local=<snapshot> runs the daemon's own two calls in-process against
-//     the mapped file — OracleSnapshot::lookup, then the proto codec's
+//     the loaded file — OracleSnapshot::lookup, then the proto codec's
 //     format_query_response — with no daemon and no sockets. The smoke test
 //     byte-compares this against the network answers.
 //
@@ -177,13 +177,13 @@ bool read_port_file(const std::string& path, std::uint16_t& tcp, std::uint16_t& 
   return got_tcp && got_udp;
 }
 
-/// --local backend: the daemon's own lookup + codec against a mapped
+/// --local backend: the daemon's own lookup + codec against a loaded
 /// snapshot. QUERY only — the other verbs are daemon state.
 int run_local(const std::string& snapshot_path, const std::string& line) {
   std::string error;
   const auto snapshot = serve::OracleSnapshot::map(snapshot_path, &error);
   if (snapshot == nullptr) {
-    std::fprintf(stderr, "turtlectl: cannot map %s: %s\n", snapshot_path.c_str(),
+    std::fprintf(stderr, "turtlectl: cannot load %s: %s\n", snapshot_path.c_str(),
                  error.c_str());
     return 2;
   }

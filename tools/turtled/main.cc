@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     std::string error;
     snapshot = serve::OracleSnapshot::map(snapshot_path, &error);
     if (snapshot == nullptr) {
-      std::fprintf(stderr, "turtled: cannot map snapshot %s: %s\n",
+      std::fprintf(stderr, "turtled: cannot load snapshot %s: %s\n",
                    snapshot_path.c_str(), error.c_str());
       return 1;
     }
