@@ -45,11 +45,11 @@ int main(int argc, char** argv) {
       {0.05, 0.2},  {0.2, 0.2},                 // faster EWMAs
       {0.001, 0.2},                             // too slow to trip in 60 rounds
   };
+  const auto dataset = analysis::SurveyDataset::from_log(prober.log());
   for (const auto& sweep : sweeps) {
     analysis::PipelineConfig config;
     config.broadcast_alpha = sweep.alpha;
     config.broadcast_flag_threshold = sweep.threshold;
-    auto dataset = analysis::SurveyDataset::from_log(prober.log());
     const auto result = analysis::run_pipeline(dataset, config);
 
     std::size_t hits = 0;

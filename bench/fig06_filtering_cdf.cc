@@ -49,11 +49,9 @@ int main(int argc, char** argv) {
   analysis::PipelineConfig no_filter;
   no_filter.filter_broadcast = false;
   no_filter.filter_duplicates = false;
-  auto ds_raw = analysis::SurveyDataset::from_log(prober.log());
-  const auto raw = analysis::run_pipeline(ds_raw, no_filter);
-
-  auto ds_filtered = analysis::SurveyDataset::from_log(prober.log());
-  const auto filtered = analysis::run_pipeline(ds_filtered, {});
+  const auto dataset = analysis::SurveyDataset::from_log(prober.log());
+  const auto raw = analysis::run_pipeline(dataset, no_filter);
+  const auto filtered = analysis::run_pipeline(dataset, {});
 
   std::printf("# before: %zu addresses; after: %zu (broadcast-flagged %zu, duplicate %zu)\n",
               raw.addresses.size(), filtered.addresses.size(),

@@ -6,15 +6,35 @@ namespace turtle::analysis {
 
 SurveyDataset SurveyDataset::from_log(const probe::RecordLog& log) {
   SurveyDataset ds;
+  // First pass: number the addresses in order of first appearance and
+  // count each one's requests and unmatched responses, so that every
+  // vector below is allocated once, at its final size.
+  struct Counts {
+    net::Ipv4Address address;
+    std::uint32_t requests = 0;
+    std::uint32_t unmatched = 0;
+  };
+  std::vector<Counts> counts;
   for (const probe::SurveyRecord& rec : log.records()) {
-    const std::uint32_t key = rec.address.value();
-    auto [it, inserted] = ds.index_.try_emplace(key, ds.timelines_.size());
-    if (inserted) {
-      ds.timelines_.emplace_back();
-      ds.timelines_.back().address = rec.address;
+    const auto [it, inserted] = ds.index_.try_emplace(rec.address.value(), counts.size());
+    if (inserted) counts.push_back(Counts{rec.address});
+    Counts& n = counts[it->second];
+    if (rec.type == probe::RecordType::kUnmatched) {
+      ++n.unmatched;
+    } else {
+      ++n.requests;
     }
-    AddressTimeline& tl = ds.timelines_[it->second];
+  }
+  ds.timelines_.resize(counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    AddressTimeline& tl = ds.timelines_[i];
+    tl.address = counts[i].address;
+    tl.requests.reserve(counts[i].requests);
+    tl.unmatched.reserve(counts[i].unmatched);
+  }
 
+  for (const probe::SurveyRecord& rec : log.records()) {
+    AddressTimeline& tl = ds.timelines_[ds.index_.find(rec.address.value())->second];
     switch (rec.type) {
       case probe::RecordType::kMatched: {
         Request r;
@@ -22,7 +42,6 @@ SurveyDataset SurveyDataset::from_log(const probe::RecordLog& log) {
         r.round = rec.round;
         r.state = RequestState::kMatched;
         r.rtt_s = rec.rtt.as_seconds();
-        r.responses = 1;
         tl.requests.push_back(r);
         break;
       }

@@ -23,19 +23,16 @@ enum class RequestState : std::uint8_t {
   kError,     ///< ICMP error response; excluded from latency analysis
 };
 
-/// One request in an address's timeline.
+/// One request in an address's timeline: one per probe, so a survey's
+/// dataset is mostly these. The pipeline keeps its per-request working
+/// state apart, which holds a Request at 24 bytes.
 struct Request {
   double time_s = 0;  ///< send time, seconds (µs precision for matched)
   std::uint32_t round = 0;
   RequestState state = RequestState::kTimedOut;
   double rtt_s = 0;  ///< matched only
-
-  /// Filled by the matching pipeline: total responses attributed to this
-  /// request (matched + unmatched arriving before the next request).
-  std::uint32_t responses = 0;
-  /// A delayed (unmatched) response was paired with this request.
-  bool consumed_by_delayed = false;
 };
+static_assert(sizeof(Request) == 24);
 
 /// One unmatched response (possibly coalescing several identical packets
 /// within the same second).
@@ -56,11 +53,11 @@ class SurveyDataset {
  public:
   /// Groups a record log. Records must be in the order the prober emitted
   /// them (append order == event order), which keeps each per-address
-  /// vector sorted without a sort pass.
+  /// vector sorted without a sort pass. Reads the log twice: once to count
+  /// each address's records, once to fill vectors allocated at that size.
   static SurveyDataset from_log(const probe::RecordLog& log);
 
   [[nodiscard]] const std::vector<AddressTimeline>& timelines() const { return timelines_; }
-  [[nodiscard]] std::vector<AddressTimeline>& timelines() { return timelines_; }
 
   /// Timeline for one address, or nullptr.
   [[nodiscard]] const AddressTimeline* find(net::Ipv4Address addr) const;

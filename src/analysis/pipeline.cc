@@ -11,10 +11,21 @@ namespace turtle::analysis {
 
 namespace {
 
+/// The pipeline's working state for one request, kept beside the timeline
+/// rather than in it, so the dataset stays read-only and a Request small.
+struct RequestScratch {
+  /// Total responses attributed to the request (matched + unmatched
+  /// arriving before the next request).
+  std::uint32_t responses = 0;
+  /// A delayed (unmatched) response was paired with the request.
+  bool consumed_by_delayed = false;
+};
+
 /// Attribution pass for one address: walks requests and unmatched
 /// responses together, attributing each unmatched response to the most
 /// recent request at or before it. Returns the delayed-response samples
-/// (latency in seconds) and fills per-request response counts.
+/// (latency in seconds) and fills `scratch`, one entry per request, with
+/// per-request response counts.
 struct Attribution {
   std::vector<double> delayed_rtts;
   /// (round index of the last request, latency since that request) for
@@ -32,7 +43,11 @@ struct Attribution {
   std::uint64_t dropped_responses = 0;
 };
 
-Attribution attribute(AddressTimeline& tl) {
+Attribution attribute(const AddressTimeline& tl, std::vector<RequestScratch>& scratch) {
+  scratch.clear();
+  for (const Request& r : tl.requests) {
+    scratch.push_back({r.state == RequestState::kMatched ? 1u : 0u, false});
+  }
   Attribution out;
   std::size_t req = 0;  // index of the first request *after* the cursor
   for (const UnmatchedResponse& um : tl.unmatched) {
@@ -44,7 +59,8 @@ Attribution attribute(AddressTimeline& tl) {
       ++req;
     }
     if (req == 0) continue;  // response before any request: ignore entirely
-    Request& last = tl.requests[req - 1];
+    const Request& last = tl.requests[req - 1];
+    RequestScratch& last_scratch = scratch[req - 1];
     TURTLE_DCHECK_GT(um.count, 0u);
     const double latency = um.time_s - std::floor(last.time_s);  // 1 s precision
     if (latency < 0.0) {
@@ -56,11 +72,11 @@ Attribution attribute(AddressTimeline& tl) {
       out.dropped_responses += um.count;
       continue;
     }
-    last.responses += um.count;
+    last_scratch.responses += um.count;
     out.attributed_responses += um.count;
     out.since_last.push_back({last.round, latency});
-    if (last.state == RequestState::kTimedOut && !last.consumed_by_delayed) {
-      last.consumed_by_delayed = true;
+    if (last.state == RequestState::kTimedOut && !last_scratch.consumed_by_delayed) {
+      last_scratch.consumed_by_delayed = true;
       out.delayed_rtts.push_back(latency);
     }
   }
@@ -95,13 +111,7 @@ bool flags_broadcast(const std::vector<Attribution::SinceLast>& since_last,
 
 }  // namespace
 
-bool broadcast_filter_flags(const AddressTimeline& timeline, const PipelineConfig& config) {
-  AddressTimeline copy = timeline;
-  const Attribution a = attribute(copy);
-  return flags_broadcast(a.since_last, config);
-}
-
-PipelineResult run_pipeline(SurveyDataset& dataset, const PipelineConfig& config) {
+PipelineResult run_pipeline(const SurveyDataset& dataset, const PipelineConfig& config) {
   TURTLE_CHECK_GT(config.broadcast_alpha, 0.0);
   TURTLE_CHECK_LE(config.broadcast_alpha, 1.0);
   TURTLE_CHECK_GT(config.broadcast_flag_threshold, 0.0);
@@ -115,8 +125,9 @@ PipelineResult run_pipeline(SurveyDataset& dataset, const PipelineConfig& config
   PipelineResult result;
   PipelineCounters& c = result.counters;
 
-  for (AddressTimeline& tl : dataset.timelines()) {
-    const Attribution attr = attribute(tl);
+  std::vector<RequestScratch> scratch;  // reused across addresses
+  for (const AddressTimeline& tl : dataset.timelines()) {
+    const Attribution attr = attribute(tl, scratch);
     c.dropped_packets += attr.dropped_responses;
 
     std::uint32_t survey_detected = 0;
@@ -125,8 +136,8 @@ PipelineResult run_pipeline(SurveyDataset& dataset, const PipelineConfig& config
     for (const Request& r : tl.requests) {
       if (r.state == RequestState::kMatched) ++survey_detected;
       if (r.state == RequestState::kTimedOut) ++timeouts;
-      max_responses = std::max(max_responses, r.responses);
     }
+    for (const RequestScratch& r : scratch) max_responses = std::max(max_responses, r.responses);
 
     if (survey_detected > 0) {
       c.survey_detected_packets += survey_detected;

@@ -97,12 +97,8 @@ struct PipelineResult {
   std::vector<net::Ipv4Address> duplicate_flagged;
 };
 
-/// Runs the full pipeline. Mutates the dataset's timelines (fills in
-/// per-request response counts) — pass a fresh dataset.
-[[nodiscard]] PipelineResult run_pipeline(SurveyDataset& dataset, const PipelineConfig& config);
-
-/// Convenience: true when the broadcast filter would flag this timeline.
-[[nodiscard]] bool broadcast_filter_flags(const AddressTimeline& timeline,
+/// Runs the full pipeline.
+[[nodiscard]] PipelineResult run_pipeline(const SurveyDataset& dataset,
                                           const PipelineConfig& config);
 
 }  // namespace turtle::analysis

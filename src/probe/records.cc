@@ -1,6 +1,5 @@
 #include "probe/records.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
@@ -152,26 +151,7 @@ void RecordWriter::finish() {
 
 RecordLog RecordLog::load(std::istream& is, LoadStats* stats) {
   RecordReader reader{is};
-  const std::uint64_t n = reader.declared_count();
-
   RecordLog log;
-  // Reserve the declared record count up front so million-record logs load
-  // without reallocation churn. The count is untrusted input (a corrupted
-  // header must not drive a multi-exabyte reserve), so on a seekable
-  // stream it is cross-checked against the bytes actually remaining; when
-  // the stream cannot be sized, fall back to a fixed cap and let the
-  // vector grow naturally past it if the records really are there.
-  std::uint64_t reserve_cap = 1u << 20;
-  if (const std::istream::pos_type here = is.tellg(); here != std::istream::pos_type(-1)) {
-    is.seekg(0, std::ios_base::end);
-    const std::istream::pos_type end = is.tellg();
-    is.seekg(here);
-    if (end != std::istream::pos_type(-1) && end >= here) {
-      reserve_cap = static_cast<std::uint64_t>(end - here) / kRecordBytes;
-    }
-  }
-  is.clear();  // a failed tellg/seekg must not poison the record reads
-  log.records_.reserve(static_cast<std::size_t>(std::min(n, reserve_cap)));
   SurveyRecord r;
   while (reader.next(r)) log.records_.push_back(r);
   if (stats != nullptr) *stats = reader.stats();

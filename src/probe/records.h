@@ -18,8 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
-#include <vector>
 
 #include "net/ipv4.h"
 #include "util/check.h"
@@ -57,6 +57,13 @@ struct SurveyRecord {
 
 /// Append-only in-memory record log with binary (de)serialization.
 ///
+/// The records live in a deque, not a vector: a survey appends millions
+/// of them without knowing the final count (floods add records per
+/// probe), and a vector that outgrows its buffer copies every record into
+/// one twice the size, briefly holding both. A deque grows in fixed
+/// blocks, so the log peaks at its own size, and appending never moves a
+/// record: a reference from at() stays valid.
+///
 /// The binary format is a fixed 32-byte little-endian record, documented
 /// in records.cc; surveys of millions of probes stay loadable and the
 /// round-trip is exact.
@@ -79,7 +86,7 @@ class RecordLog {
     return records_[i];
   }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] const std::vector<SurveyRecord>& records() const { return records_; }
+  [[nodiscard]] const std::deque<SurveyRecord>& records() const { return records_; }
 
   /// Counts by type (sanity checks and Table 1).
   [[nodiscard]] std::uint64_t count_of(RecordType type) const;
@@ -118,7 +125,7 @@ class RecordLog {
   static RecordLog load(std::istream& is, LoadStats* stats = nullptr);
 
  private:
-  std::vector<SurveyRecord> records_;
+  std::deque<SurveyRecord> records_;
 };
 
 /// Streaming record reader with load()'s exact tolerance semantics —
@@ -136,10 +143,6 @@ class RecordReader {
   /// Advances to the next loadable record. Returns false at end of the
   /// declared stream (or a truncated tail, reflected in stats()).
   [[nodiscard]] bool next(SurveyRecord& out);
-
-  /// Record count the header declares (untrusted input; next() never
-  /// reads past the actual stream).
-  [[nodiscard]] std::uint64_t declared_count() const { return declared_; }
 
   /// Tolerance accounting so far; final once next() returns false.
   /// loaded + skipped + truncated == declared, always.

@@ -142,12 +142,15 @@ void SurveyProber::expire_probe(net::Ipv4Address target, SimTime sent_at,
 }
 
 void SurveyProber::evict_excess_pending() {
-  while (outstanding_.size() > config_.max_pending && !pending_fifo_.empty()) {
+  while (!pending_fifo_.empty()) {
     const auto [addr, sent] = pending_fifo_.front();
-    pending_fifo_.pop_front();
     const auto it = outstanding_.find(addr);
     // Stale shadow entry: the probe already matched, errored or expired.
-    if (it == outstanding_.end() || it->second.send_time != sent) continue;
+    // Eviction would skip it, so dropping it now changes no eviction.
+    const bool stale = it == outstanding_.end() || it->second.send_time != sent;
+    if (!stale && outstanding_.size() <= config_.max_pending) return;
+    pending_fifo_.pop_front();
+    if (stale) continue;
     fault_counter(pending_evicted_, "fault.survey.pending_evicted").inc();
     timeouts_->inc();
     SurveyRecord rec;

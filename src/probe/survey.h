@@ -98,6 +98,9 @@ class SurveyProber : public sim::PacketSink {
   [[nodiscard]] std::uint64_t responses_received() const {
     return responses_received_->value();
   }
+  /// Entries in the eviction FIFO. Settled probes leave it as soon as they
+  /// reach its front, so it holds about one match_timeout of probes.
+  [[nodiscard]] std::size_t pending_fifo_size() const { return pending_fifo_.size(); }
   /// Fraction of probes matched within the timeout — the "response rate"
   /// the paper reports per survey (Figure 9's bottom panel), immune to
   /// duplicate floods inflating the raw response count.
@@ -125,6 +128,8 @@ class SurveyProber : public sim::PacketSink {
   void expire_probe(net::Ipv4Address target, SimTime sent_at, std::uint32_t round);
   void take_checkpoint(std::uint32_t completed_rounds);
   void resume_from_checkpoint();
+  /// Pops settled probes off the FIFO's front and, while more than
+  /// max_pending probes are outstanding, evicts the oldest of them.
   void evict_excess_pending();
   /// Lazily binds a fault counter: registry-backed when a registry is
   /// attached, shared fallback otherwise. Lazy so a faultless run never
@@ -156,7 +161,8 @@ class SurveyProber : public sim::PacketSink {
 
   /// Insertion-ordered (address, send_time) shadow of outstanding_; the
   /// deterministic eviction order for max_pending. Entries go stale when a
-  /// probe is matched/expired; eviction skips those lazily.
+  /// probe is matched, errored or expired; each push pops the stale ones
+  /// off the front, so the FIFO spans one match_timeout, not the survey.
   std::deque<std::pair<std::uint32_t, SimTime>> pending_fifo_;
   /// Bumped by crash(): every scheduled lambda captures the epoch it was
   /// created under and no-ops if the prober crashed since.

@@ -66,6 +66,28 @@ TEST(SurveyDataset, SortsRequestsBySendTime) {
   EXPECT_EQ(requests[1].round, 1u);
 }
 
+TEST(SurveyDataset, SizesEachTimelineExactly) {
+  probe::RecordLog log;
+  for (std::uint32_t round = 0; round < 50; ++round) {
+    const double t = round * 660.0;
+    log.append(matched(kAddr, t, 0.1, round));
+    log.append(timeout(kOther, t + 2, round));
+    if (round % 20 == 0) {
+      log.append(unmatched(kAddr, t + 30));
+      log.append(unmatched(kOther, t + 40));
+    }
+  }
+
+  const auto ds = SurveyDataset::from_log(log);
+  EXPECT_EQ(ds.timelines().capacity(), ds.timelines().size());
+  for (const AddressTimeline& tl : ds.timelines()) {
+    EXPECT_EQ(tl.requests.size(), 50u);
+    EXPECT_EQ(tl.requests.capacity(), tl.requests.size());
+    EXPECT_EQ(tl.unmatched.size(), 3u);
+    EXPECT_EQ(tl.unmatched.capacity(), tl.unmatched.size());
+  }
+}
+
 TEST(Pipeline, SurveyDetectedOnly) {
   probe::RecordLog log;
   for (int round = 0; round < 5; ++round) {

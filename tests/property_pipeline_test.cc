@@ -131,6 +131,25 @@ TEST_P(PipelineProperty, DeterministicAcrossRuns) {
     EXPECT_EQ(r1.addresses[i].address, r2.addresses[i].address);
     EXPECT_EQ(r1.addresses[i].rtts_s, r2.addresses[i].rtts_s);
   }
+
+  // The pipeline leaves its dataset as it found it: a second run on ds1
+  // agrees with the first on every counter, address and sample.
+  const auto again = run_pipeline(ds1, {});
+  const auto counters = [](const PipelineCounters& c) {
+    return std::vector<std::uint64_t>{
+        c.survey_detected_packets, c.survey_detected_addresses, c.naive_packets,
+        c.naive_addresses,         c.broadcast_packets,         c.broadcast_addresses,
+        c.duplicate_packets,       c.duplicate_addresses,       c.combined_packets,
+        c.combined_addresses,      c.dropped_packets};
+  };
+  EXPECT_EQ(counters(again.counters), counters(r1.counters));
+  ASSERT_EQ(again.addresses.size(), r1.addresses.size());
+  for (std::size_t i = 0; i < r1.addresses.size(); ++i) {
+    EXPECT_EQ(again.addresses[i].address, r1.addresses[i].address);
+    EXPECT_EQ(again.addresses[i].rtts_s, r1.addresses[i].rtts_s);
+  }
+  EXPECT_EQ(again.broadcast_flagged, r1.broadcast_flagged);
+  EXPECT_EQ(again.duplicate_flagged, r1.duplicate_flagged);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,

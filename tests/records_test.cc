@@ -126,6 +126,12 @@ TEST(RecordLog, InPlaceCoalescing) {
   log.append(sample(RecordType::kUnmatched, 5, 100));
   log.at(0).count += 10;
   EXPECT_EQ(log.at(0).count, 13u);
+  // Growing the log moves no record: a vector would have copied every
+  // record into a bigger buffer several times by now.
+  const SurveyRecord* first = &log.at(0);
+  for (int i = 0; i < (1 << 16); ++i) log.append(sample(RecordType::kMatched, 6, i));
+  EXPECT_EQ(&log.at(0), first);
+  EXPECT_EQ(log.at(0).count, 13u);
 }
 
 }  // namespace

@@ -209,7 +209,9 @@ TEST(ShardRunner, MergedMetricsAreByteIdenticalAcrossJobCounts) {
   // tracking the shard index on both sides. (Both streams are empty when
   // the tree is built with -DTURTLE_TRACING=OFF.)
   ASSERT_EQ(trace_serial.size(), trace_threaded.size());
-  if (TURTLE_TRACE_ENABLED) EXPECT_GT(trace_serial.size(), 0u);
+  if (TURTLE_TRACE_ENABLED) {
+    EXPECT_GT(trace_serial.size(), 0u);
+  }
   for (std::size_t i = 0; i < trace_serial.size(); ++i) {
     EXPECT_EQ(trace_serial.events()[i].tid, trace_threaded.events()[i].tid);
     EXPECT_EQ(trace_serial.events()[i].ts_us, trace_threaded.events()[i].ts_us);

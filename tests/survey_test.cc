@@ -66,6 +66,17 @@ TEST_F(SurveyFixture, FastHostYieldsMatchedRecords) {
   }
 }
 
+TEST_F(SurveyFixture, EvictionFifoHoldsOnlyUnsettledProbes) {
+  hosts::Host host{w.ctx, block.address(10), plain_profile(SimTime::millis(80)), util::Prng{1}};
+  resolver.put(block.address(10), &host);
+
+  const auto prober = run(20);
+  EXPECT_EQ(prober.probes_sent(), 20u * 256);
+  // Probes are one slot (2.58 s) apart and settle within match_timeout
+  // (3 s), so at most the probes of the last timeout window remain.
+  EXPECT_LE(prober.pending_fifo_size(), 3u);
+}
+
 TEST_F(SurveyFixture, SlowHostYieldsTimeoutPlusUnmatched) {
   // 10 s access latency: beats no 3 s timer, ever.
   hosts::Host host{w.ctx, block.address(20), plain_profile(SimTime::seconds(10)), util::Prng{1}};
