@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
+#include <vector>
 
 #include "net/ipv4.h"
 #include "util/check.h"
@@ -130,10 +131,12 @@ class RecordLog {
 
 /// Streaming record reader with load()'s exact tolerance semantics —
 /// throws on a corrupt header at construction, skips detectably corrupt
-/// records, accounts a truncated tail — but O(1) memory: the snapshot
-/// builder folds logs far larger than RAM through this, one record at a
-/// time. RecordLog::load() is implemented on top of it, so the two paths
-/// cannot drift.
+/// records, accounts a truncated tail — in one fixed 64 KiB block of
+/// memory: the snapshot builder folds logs far larger than RAM through
+/// this. Each refill is one read of at most 2048 records, never past the
+/// declared end (header + declared × 32 bytes), and next() decodes the
+/// block one record at a time. RecordLog::load() is implemented on top of
+/// it, so the two paths cannot drift.
 class RecordReader {
  public:
   /// Reads and validates the header. Throws std::runtime_error on bad
@@ -149,16 +152,23 @@ class RecordReader {
   [[nodiscard]] const RecordLog::LoadStats& stats() const { return stats_; }
 
  private:
+  /// Reads the next block; false at the declared end or a truncated tail.
+  bool refill();
+
   std::istream& is_;
   std::uint64_t declared_ = 0;
-  std::uint64_t index_ = 0;  ///< records consumed from the stream so far
+  std::uint64_t index_ = 0;  ///< records read from the stream so far
+  std::vector<unsigned char> block_;
+  std::size_t block_records_ = 0;  ///< whole records in block_
+  std::size_t block_next_ = 0;     ///< next record of block_ to decode
   RecordLog::LoadStats stats_;
 };
 
 /// Streaming record writer: header first (count patched on finish()), then
-/// fixed-width records appended one at a time. Lets the bench synthesize a
-/// log several times larger than any RSS cap without ever holding it in
-/// memory. The stream must be seekable (finish() patches the header).
+/// fixed-width records, buffered in one 8 KiB block (256 records) and
+/// written a block at a time. Lets the bench synthesize a log several
+/// times larger than any RSS cap without ever holding it in memory. The
+/// stream must be seekable (finish() patches the header).
 class RecordWriter {
  public:
   /// Writes the header with a zero record count placeholder.
@@ -166,8 +176,10 @@ class RecordWriter {
 
   void append(const SurveyRecord& record);
 
-  /// Seeks back and patches the header's record count, then returns the
-  /// stream to its end. Throws std::runtime_error on I/O failure. Idempotent.
+  /// Writes the buffered records, then seeks back and patches the header's
+  /// record count and returns the stream to its end. Until then the file
+  /// declares 0 records. Throws std::runtime_error on I/O failure.
+  /// Idempotent.
   void finish();
 
   [[nodiscard]] std::uint64_t written() const { return written_; }
@@ -175,6 +187,8 @@ class RecordWriter {
  private:
   std::ostream& os_;
   std::uint64_t written_ = 0;
+  std::vector<unsigned char> block_;
+  std::size_t buffered_ = 0;  ///< records in block_ not yet written
 };
 
 }  // namespace turtle::probe

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "serve/snapshot_format.h"
 #include "util/check.h"
 #include "util/mutex.h"
+#include "util/ordered.h"
 #include "util/thread_pool.h"
 
 namespace turtle::serve {
@@ -219,8 +221,9 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
 
   // Pass A: one streaming scan — records per /24 network, tolerant-loader
   // accounting. Memory: one counter per distinct block, same order as the
-  // final index itself.
-  std::map<std::uint32_t, std::uint64_t> records_per_network;
+  // final index itself. The counts go into a hash map, one lookup per
+  // record, and are sorted by network once at the end.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> records_per_network;
   {
     std::ifstream is = open_in(log_path);
     is.seekg(0, std::ios_base::end);
@@ -228,9 +231,11 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
     is.seekg(0);
     probe::RecordReader reader{is};
     probe::SurveyRecord record;
+    std::unordered_map<std::uint32_t, std::uint64_t> counts;
     while (reader.next(record)) {
-      ++records_per_network[net::Prefix24::containing(record.address).network()];
+      ++counts[net::Prefix24::containing(record.address).network()];
     }
+    records_per_network = util::ordered(counts);
     const probe::RecordLog::LoadStats& stats = reader.stats();
     ledger.records_in = stats.records_loaded + stats.records_skipped + stats.records_truncated;
     ledger.records_folded = stats.records_loaded;

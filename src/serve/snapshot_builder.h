@@ -6,11 +6,11 @@
 // fatal for the ROADMAP's millions-of-users scale. This builder is the
 // external-merge alternative:
 //
-//   pass A  stream the log once (tolerant RecordReader, O(1) memory per
-//           record) counting records per /24 network, then cut the sorted
-//           network space into contiguous shards of ~shard_budget_bytes
-//           of log each — a pure function of the log and the budget,
-//           never of --jobs;
+//   pass A  stream the log once (tolerant RecordReader, one fixed read
+//           block) counting records per /24 network in a hash map, sort
+//           the counts by network once, then cut the sorted network space
+//           into contiguous shards of ~shard_budget_bytes of log each — a
+//           pure function of the log and the budget, never of --jobs;
 //   pass B  stream the log again, appending each record to its shard's
 //           spill file (records are partitioned by their address's /24,
 //           so each address's full history lands in exactly one shard —

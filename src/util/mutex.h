@@ -90,14 +90,11 @@ class BlockingCounter {
   /// Signals one completion. Threads may call this exactly once each;
   /// calling it more times than `initial` is undefined.
   void count_down() TURTLE_EXCLUDES(mu_) {
-    bool last = false;
-    {
-      MutexLock lock{mu_};
-      last = --count_ == 0;
-    }
-    // Notify outside the lock: the waiter re-checks under mu_ anyway, and
-    // this avoids waking it just to block on the mutex we still hold.
-    if (last) done_.notify_all();
+    MutexLock lock{mu_};
+    // Notify while holding the lock. The waiter usually owns this counter
+    // on its stack: once it sees zero under mu_ it returns and destroys
+    // done_, so a notify after the unlock could touch a dead CondVar.
+    if (--count_ == 0) done_.notify_all();
   }
 
   /// Returns once the count reaches zero. Single waiter by convention.

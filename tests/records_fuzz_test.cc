@@ -5,8 +5,11 @@
 // skipped, or truncated. Header damage alone stays fatal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "probe/records.h"
 #include "util/prng.h"
@@ -37,52 +40,77 @@ std::string serialize(const RecordLog& log) {
 
 class RecordsFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// RecordReader reads 2048 records a block, so a 5000-record log spans
+// three read blocks; the 200- and 50-record logs fit in one.
+constexpr std::size_t kReadBlockRecords = 2048;
+constexpr int kThreeBlockLog = 5000;
+
 TEST_P(RecordsFuzz, RandomBitFlipsNeverCrashAndAlwaysReconcile) {
   util::Prng rng{GetParam()};
-  const auto log = sample_log(rng, 200);
-  const std::string clean = serialize(log);
+  for (const auto& [records, trials] : {std::pair{200, 2'000}, std::pair{kThreeBlockLog, 200}}) {
+    const auto log = sample_log(rng, records);
+    const std::string clean = serialize(log);
 
-  for (int trial = 0; trial < 2'000; ++trial) {
-    std::string bytes = clean;
-    // Flip 1-8 random bits anywhere past the header.
-    const int flips = 1 + static_cast<int>(rng.uniform_int(8));
-    for (int f = 0; f < flips; ++f) {
-      const std::size_t at =
-          RecordLog::kHeaderBytes +
-          rng.uniform_int(bytes.size() - RecordLog::kHeaderBytes);
-      bytes[at] = static_cast<char>(
-          static_cast<unsigned char>(bytes[at]) ^ (1u << rng.uniform_int(8)));
+    for (int trial = 0; trial < trials; ++trial) {
+      std::string bytes = clean;
+      // Flip 1-8 random bits anywhere past the header.
+      const int flips = 1 + static_cast<int>(rng.uniform_int(8));
+      for (int f = 0; f < flips; ++f) {
+        const std::size_t at =
+            RecordLog::kHeaderBytes +
+            rng.uniform_int(bytes.size() - RecordLog::kHeaderBytes);
+        bytes[at] = static_cast<char>(
+            static_cast<unsigned char>(bytes[at]) ^ (1u << rng.uniform_int(8)));
+      }
+      std::istringstream in{bytes};
+      RecordLog::LoadStats stats;
+      const RecordLog loaded = RecordLog::load(in, &stats);  // must not throw
+      // Fixed-width records: every declared record is loaded or skipped,
+      // none invented, none silently vanished.
+      EXPECT_EQ(stats.records_loaded + stats.records_skipped + stats.records_truncated,
+                log.size());
+      EXPECT_EQ(loaded.size(), stats.records_loaded);
+      EXPECT_EQ(stats.records_truncated, 0u);  // length untouched
     }
-    std::istringstream in{bytes};
-    RecordLog::LoadStats stats;
-    const RecordLog loaded = RecordLog::load(in, &stats);  // must not throw
-    // Fixed-width records: every declared record is loaded or skipped,
-    // none invented, none silently vanished.
-    EXPECT_EQ(stats.records_loaded + stats.records_skipped + stats.records_truncated,
-              log.size());
-    EXPECT_EQ(loaded.size(), stats.records_loaded);
-    EXPECT_EQ(stats.records_truncated, 0u);  // length untouched
   }
 }
 
 TEST_P(RecordsFuzz, RandomTruncationsNeverCrash) {
   util::Prng rng{GetParam() ^ 0xACE};
-  const auto log = sample_log(rng, 50);
-  const std::string clean = serialize(log);
-
-  for (std::size_t len = 0; len <= clean.size(); ++len) {
+  const auto check_cut = [](const RecordLog& log, const std::string& clean, std::size_t len) {
     std::istringstream in{clean.substr(0, len)};
     RecordLog::LoadStats stats;
     if (len < RecordLog::kHeaderBytes) {
       // Not even a header: fatal.
       EXPECT_THROW((void)RecordLog::load(in, &stats), std::runtime_error);
-      continue;
+      return;
     }
     const RecordLog loaded = RecordLog::load(in, &stats);
     // Whole records before the cut all load; the tail is counted.
     const std::size_t whole = (len - RecordLog::kHeaderBytes) / RecordLog::kRecordBytes;
-    EXPECT_EQ(loaded.size(), whole);
+    EXPECT_EQ(loaded.size(), whole) << "cut at " << len;
     EXPECT_EQ(stats.records_loaded + stats.records_truncated, log.size());
+  };
+
+  const auto log = sample_log(rng, 50);
+  const std::string clean = serialize(log);
+  for (std::size_t len = 0; len <= clean.size(); ++len) check_cut(log, clean, len);
+
+  // Three read blocks: cut within a record of each block boundary, and at
+  // random lengths (every length would be quadratic in the log size).
+  const auto big = sample_log(rng, kThreeBlockLog);
+  const std::string big_clean = serialize(big);
+  for (std::size_t boundary = 1; boundary <= 3; ++boundary) {
+    const std::size_t at = RecordLog::kHeaderBytes +
+                           std::min<std::size_t>(boundary * kReadBlockRecords, kThreeBlockLog) *
+                               RecordLog::kRecordBytes;
+    for (std::size_t len = at - RecordLog::kRecordBytes - 1;
+         len <= std::min(at + RecordLog::kRecordBytes + 1, big_clean.size()); ++len) {
+      check_cut(big, big_clean, len);
+    }
+  }
+  for (int trial = 0; trial < 100; ++trial) {
+    check_cut(big, big_clean, rng.uniform_int(big_clean.size() + 1));
   }
 }
 

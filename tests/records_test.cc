@@ -84,6 +84,15 @@ TEST(RecordLog, LoadCountsTruncatedTail) {
   EXPECT_EQ(stats.records_truncated, 1u);
   EXPECT_EQ(stats.records_skipped, 0u);
   EXPECT_EQ(stats.records_loaded + stats.records_dropped(), 2u);
+
+  // The loader reads no byte past the declared records: whatever follows
+  // the log in the stream is left where it is.
+  std::stringstream followed{buf.str() + "trailing bytes, not a record"};
+  const RecordLog whole = RecordLog::load(followed, &stats);
+  EXPECT_EQ(whole.size(), 2u);
+  EXPECT_EQ(stats.records_truncated, 0u);
+  EXPECT_EQ(static_cast<std::size_t>(followed.tellg()),
+            RecordLog::kHeaderBytes + 2 * RecordLog::kRecordBytes);
 }
 
 TEST(RecordLog, LoadSkipsCorruptRecordMidStream) {

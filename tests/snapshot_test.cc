@@ -125,7 +125,10 @@ TEST(Crc64, MatchesPublishedVectorAndStreamsChunkIndependent) {
 }
 
 TEST(RecordStreaming, WriterReaderRoundTripMatchesLoad) {
-  const probe::RecordLog log = make_log({kBlockA, kBlockB}, 3, 4);
+  // 600 records: the writer buffers 256 at a time, so this writes two
+  // full blocks and finish() writes part of a third.
+  const probe::RecordLog log = make_log({kBlockA, kBlockB}, 30, 10);
+  ASSERT_EQ(log.size(), 600u);
   std::stringstream stream;
   probe::RecordWriter writer{stream};
   for (const probe::SurveyRecord& record : log.records()) writer.append(record);
