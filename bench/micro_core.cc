@@ -52,6 +52,53 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue)->Arg(1'000)->Arg(100'000);
 
+// The survey's shape of load: N block chains at one fixed cadence, phased
+// apart, each firing pushing the next link and a fixed-delay timer — the
+// slot cadence and match timeout SurveyProber declares as lanes. One
+// round (256 links per chain) per iteration; BM_EventQueue's random
+// absolute times exercise the heap alone.
+class FixedDelayChains {
+ public:
+  static constexpr int kLinks = 256;
+
+  FixedDelayChains(sim::Simulator& sim, std::int64_t chains, util::Prng& rng) : sim_{sim} {
+    sim_.declare_fixed_delay(kSlot);
+    sim_.declare_fixed_delay(kTimeout);
+    for (std::int64_t c = 0; c < chains; ++c) {
+      const auto phase_us = rng.uniform_int(static_cast<std::uint64_t>(kSlot.as_micros()));
+      const SimTime phase = SimTime::micros(static_cast<std::int64_t>(phase_us));
+      sim_.schedule_at(phase, [this] { link(kLinks); });
+    }
+  }
+
+  [[nodiscard]] std::int64_t timers_fired() const { return timers_fired_; }
+
+ private:
+  static constexpr SimTime kSlot = SimTime::micros(660'000'000 / 256);
+  static constexpr SimTime kTimeout = SimTime::micros(3'000'000);
+
+  void link(int left) {
+    sim_.schedule_after(kTimeout, [this] { ++timers_fired_; });
+    if (left > 1) sim_.schedule_after(kSlot, [this, left] { link(left - 1); });
+  }
+
+  sim::Simulator& sim_;
+  std::int64_t timers_fired_ = 0;
+};
+
+void BM_EventQueueFixedDelay(benchmark::State& state) {
+  const std::int64_t chains = state.range(0);
+  util::Prng rng{1};
+  for (auto _ : state) {
+    sim::Simulator sim;
+    FixedDelayChains load{sim, chains, rng};
+    sim.run();
+    benchmark::DoNotOptimize(load.timers_fired());
+  }
+  state.SetItemsProcessed(state.iterations() * chains * FixedDelayChains::kLinks * 2);
+}
+BENCHMARK(BM_EventQueueFixedDelay)->Arg(400)->Arg(4'000);
+
 // Dispatch cost of the callback type alone: construct + invoke a callable
 // whose capture (24 bytes) exceeds std::function's inline buffer but fits
 // InlineFunction's 48 — the common shape of survey timeout lambdas.

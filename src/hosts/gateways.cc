@@ -24,7 +24,7 @@ void FirewallSink::deliver(const net::Packet& packet, std::uint32_t copies) {
   const double jitter = std::exp(0.05 * rng_.normal());
   const SimTime delay = SimTime::from_seconds(rtt_.as_seconds() * jitter);
   for (std::uint32_t i = 0; i < copies; ++i) {
-    ctx_.sim.schedule_after(delay, [this, reply] { ctx_.net.send(reply); });
+    ctx_.net.send_after(delay, reply);
   }
 }
 
@@ -40,7 +40,7 @@ void RouterSink::deliver(const net::Packet& packet, std::uint32_t copies) {
   const double jitter = std::exp(0.1 * rng_.normal());
   const SimTime delay = SimTime::from_seconds(rtt_.as_seconds() * jitter);
   for (std::uint32_t i = 0; i < copies; ++i) {
-    ctx_.sim.schedule_after(delay, [this, reply] { ctx_.net.send(reply); });
+    ctx_.net.send_after(delay, reply);
   }
 }
 

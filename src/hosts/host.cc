@@ -171,20 +171,19 @@ void Host::reply_icmp_echo(const net::Packet& request, const net::IcmpMessage& e
         std::clamp(raw, 1.0, static_cast<double>(d.max_responses)));
   }
   if (total <= 1) {
-    ctx_.sim.schedule_after(delay, [this, reply] { ctx_.net.send(reply); });
+    ctx_.net.send_after(delay, reply);
   } else {
     send_flood(reply, delay, total);
   }
 }
 
-void Host::send_flood(net::Packet reply, SimTime first_delay, std::uint32_t total) {
+void Host::send_flood(const net::Packet& reply, SimTime first_delay, std::uint32_t total) {
   // First response is the genuine one.
-  ctx_.sim.schedule_after(first_delay, [this, reply] { ctx_.net.send(reply); });
+  ctx_.net.send_after(first_delay, reply);
   if (total <= 8) {
     // Mild duplication: copies trail the original by milliseconds.
     for (std::uint32_t i = 1; i < total; ++i) {
-      ctx_.sim.schedule_after(first_delay + SimTime::millis(20) * i,
-                              [this, reply] { ctx_.net.send(reply); });
+      ctx_.net.send_after(first_delay + SimTime::millis(20) * i, reply);
     }
     return;
   }
@@ -198,7 +197,7 @@ void Host::send_flood(net::Packet reply, SimTime first_delay, std::uint32_t tota
     const std::uint32_t n = std::min(remaining, per_chunk);
     remaining -= n;
     at += SimTime::seconds(1);
-    ctx_.sim.schedule_after(at, [this, reply, n] { ctx_.net.send(reply, n); });
+    ctx_.net.send_after(at, reply, n);
   }
 }
 
@@ -215,7 +214,7 @@ void Host::reply_udp(const net::Packet& request, SimTime delay) {
   reply.ttl = profile_.reply_ttl;
   reply.payload =
       net::serialize_icmp(net::make_unreachable(request, net::UnreachableCode::kPort));
-  ctx_.sim.schedule_after(delay, [this, reply] { ctx_.net.send(reply); });
+  ctx_.net.send_after(delay, reply);
 }
 
 void Host::reply_tcp(const net::Packet& request, SimTime delay) {
@@ -230,7 +229,7 @@ void Host::reply_tcp(const net::Packet& request, SimTime delay) {
   reply.protocol = net::Protocol::kTcp;
   reply.ttl = profile_.reply_ttl;
   reply.payload = net::serialize_tcp(net::make_rst_for(*seg), addr_, request.src);
-  ctx_.sim.schedule_after(delay, [this, reply] { ctx_.net.send(reply); });
+  ctx_.net.send_after(delay, reply);
 }
 
 }  // namespace turtle::hosts

@@ -71,7 +71,7 @@ class Host : public sim::PacketSink {
 
   /// Sends `copies` duplicates of an already-built reply spread over time
   /// (flood aggregation for duplicate responders).
-  void send_flood(net::Packet reply, SimTime first_delay, std::uint32_t total);
+  void send_flood(const net::Packet& reply, SimTime first_delay, std::uint32_t total);
 
   /// Lazily allocated state for cellular hosts only.
   struct CellularState {

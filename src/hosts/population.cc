@@ -24,6 +24,9 @@ Population::Population(HostContext& ctx, const AsCatalog& catalog,
                        const PopulationConfig& config, util::Prng rng)
     : ctx_{ctx}, catalog_{catalog}, config_{config}, geo_{&catalog_} {
   TURTLE_CHECK_GT(config_.num_blocks, 0);
+  TURTLE_CHECK_LE(config_.base_network + static_cast<std::uint64_t>(config_.num_blocks),
+                  std::uint64_t{1} << 24)
+      << "population blocks run past 255.255.255.0/24";
   TURTLE_CHECK_GT(catalog_.size(), 0u) << "population needs at least one AS";
   for (const double p :
        {config_.broadcast_block_prob, config_.subnet_split_prob,
@@ -73,7 +76,6 @@ Population::Population(HostContext& ctx, const AsCatalog& catalog,
     block.as_index = static_cast<std::uint32_t>(as_index);
     block.slot.fill(Block::kEmpty);
 
-    network_to_block_.emplace(block.prefix.network(), static_cast<std::uint32_t>(b));
     geo_.add_block(block.prefix, block.as_index);
 
     util::Prng block_rng = rng.fork(0x10000u + static_cast<std::uint64_t>(b));
@@ -322,9 +324,9 @@ HostProfile Population::sample_profile(const AsTraits& as, util::Prng& rng) cons
 }
 
 sim::PacketSink* Population::resolve(const net::Packet& packet) {
-  const auto it = network_to_block_.find(packet.dst.value() >> 8);
-  if (it == network_to_block_.end()) return nullptr;
-  Block& block = block_table_[it->second];
+  const Block* found = block_of(packet.dst);
+  if (found == nullptr) return nullptr;
+  const Block& block = *found;
 
   // A firewalled /24 intercepts all TCP, even for live hosts.
   if (packet.protocol == net::Protocol::kTcp && block.firewall >= 0) {
@@ -348,20 +350,17 @@ std::vector<net::Prefix24> Population::blocks() const {
 }
 
 const Host* Population::host_at(net::Ipv4Address addr) const {
-  const auto it = network_to_block_.find(addr.value() >> 8);
-  if (it == network_to_block_.end()) return nullptr;
-  const Block& block = block_table_[it->second];
-  const std::int32_t slot = block.slot[addr.last_octet()];
+  const Block* block = block_of(addr);
+  if (block == nullptr) return nullptr;
+  const std::int32_t slot = block->slot[addr.last_octet()];
   if (slot < 0) return nullptr;
   return &hosts_[static_cast<std::size_t>(slot)];
 }
 
 bool Population::is_broadcast_address(net::Ipv4Address addr) const {
-  const auto it = network_to_block_.find(addr.value() >> 8);
-  if (it == network_to_block_.end()) return false;
-  const Block& block = block_table_[it->second];
-  return block.slot[addr.last_octet()] == Block::kBroadcast &&
-         block.broadcast_gateway >= 0;
+  const Block* block = block_of(addr);
+  return block != nullptr && block->slot[addr.last_octet()] == Block::kBroadcast &&
+         block->broadcast_gateway >= 0;
 }
 
 std::vector<net::Ipv4Address> Population::broadcast_responders() const {

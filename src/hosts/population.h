@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "hosts/asdb.h"
@@ -120,6 +119,15 @@ class Population : public sim::AddressResolver {
     std::int32_t router = -1;             // index into routers_
   };
 
+  /// The block holding `addr`, or nullptr outside the population. Blocks
+  /// are contiguous from config_.base_network, so the /24 network number
+  /// minus the base indexes block_table_ (below the base it wraps past the
+  /// end).
+  [[nodiscard]] const Block* block_of(net::Ipv4Address addr) const {
+    const std::uint32_t index = (addr.value() >> 8) - config_.base_network;
+    return index < block_table_.size() ? &block_table_[index] : nullptr;
+  }
+
   [[nodiscard]] HostProfile sample_profile(const AsTraits& as, util::Prng& rng) const;
   void build_block(Block& block, const AsTraits& as, util::Prng& rng);
 
@@ -128,8 +136,7 @@ class Population : public sim::AddressResolver {
   PopulationConfig config_;
   GeoDatabase geo_;
 
-  std::vector<Block> block_table_;
-  std::unordered_map<std::uint32_t, std::uint32_t> network_to_block_;
+  std::vector<Block> block_table_;  ///< indexed by network - base_network
   // Deques: stable addresses (gateways keep Host*), no realloc moves.
   std::deque<Host> hosts_;
   std::deque<BroadcastGateway> bcast_gateways_;

@@ -49,6 +49,10 @@ SurveyProber::SurveyProber(sim::Simulator& sim, sim::Network& net, SurveyConfig 
 
 void SurveyProber::start() {
   net_.attach_endpoint(config_.vantage, this);
+  // Nearly every event a survey schedules is a block's next probe or a
+  // probe's match timeout, each a fixed delay after the clock.
+  sim_.declare_fixed_delay(config_.round_interval / 256);
+  sim_.declare_fixed_delay(config_.match_timeout);
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     schedule_slot(b, /*round=*/0, /*slot=*/0);
   }
@@ -83,8 +87,7 @@ void SurveyProber::probe_slot(std::size_t block_index, int round, int slot) {
   packet.payload = net::serialize_icmp(echo);
 
   // Source-address-only matching: one outstanding probe per target.
-  outstanding_[target.value()] =
-      Outstanding{now, static_cast<std::uint32_t>(round)};
+  outstanding_.put(target.value(), now, static_cast<std::uint32_t>(round));
   pending_fifo_.emplace_back(target.value(), now);
   evict_excess_pending();
   probes_sent_->inc();
@@ -128,9 +131,9 @@ void SurveyProber::schedule_slot(std::size_t block_index, int round, int slot) {
 
 void SurveyProber::expire_probe(net::Ipv4Address target, SimTime sent_at,
                                 std::uint32_t round) {
-  const auto it = outstanding_.find(target.value());
-  if (it == outstanding_.end() || it->second.send_time != sent_at) return;
-  outstanding_.erase(it);
+  const PendingTable::Entry* probe = outstanding_.find(target.value());
+  if (probe == nullptr || probe->send_time != sent_at) return;
+  outstanding_.erase(probe);
   timeouts_->inc();
   TURTLE_TRACE(trace_, complete("probe.timeout", "survey", sent_at, sim_.now()));
   SurveyRecord rec;
@@ -144,10 +147,10 @@ void SurveyProber::expire_probe(net::Ipv4Address target, SimTime sent_at,
 void SurveyProber::evict_excess_pending() {
   while (!pending_fifo_.empty()) {
     const auto [addr, sent] = pending_fifo_.front();
-    const auto it = outstanding_.find(addr);
+    const PendingTable::Entry* probe = outstanding_.find(addr);
     // Stale shadow entry: the probe already matched, errored or expired.
     // Eviction would skip it, so dropping it now changes no eviction.
-    const bool stale = it == outstanding_.end() || it->second.send_time != sent;
+    const bool stale = probe == nullptr || probe->send_time != sent;
     if (!stale && outstanding_.size() <= config_.max_pending) return;
     pending_fifo_.pop_front();
     if (stale) continue;
@@ -157,9 +160,9 @@ void SurveyProber::evict_excess_pending() {
     rec.type = RecordType::kTimeout;
     rec.address = net::Ipv4Address{addr};
     rec.probe_time = sent.truncate_to_seconds();
-    rec.round = it->second.round;
+    rec.round = probe->round;
     log_.append(rec);
-    outstanding_.erase(it);
+    outstanding_.erase(probe);
   }
 }
 
@@ -178,10 +181,11 @@ void SurveyProber::take_checkpoint(std::uint32_t completed_rounds) {
   cp.rng = rng_.state();
   cp.log = log_;
   cp.pending.reserve(outstanding_.size());
-  for (const auto& [addr, o] : outstanding_) {
-    cp.pending.push_back(SurveyCheckpoint::PendingProbe{addr, o.send_time, o.round});
-  }
-  // Hash-map iteration order is an implementation detail; sorting makes
+  outstanding_.for_each([&cp](const PendingTable::Entry& probe) {
+    cp.pending.push_back(
+        SurveyCheckpoint::PendingProbe{probe.address, probe.send_time, probe.round});
+  });
+  // Hash-table iteration order is an implementation detail; sorting makes
   // the serialized checkpoint — and hence everything a resume derives from
   // it — independent of it.
   std::sort(cp.pending.begin(), cp.pending.end(),
@@ -254,7 +258,7 @@ void SurveyProber::resume_from_checkpoint() {
       log_.append(rec);
       continue;
     }
-    outstanding_[p.address] = Outstanding{p.send_time, p.round};
+    outstanding_.put(p.address, p.send_time, p.round);
     pending_fifo_.emplace_back(p.address, p.send_time);
     const std::uint64_t epoch = epoch_;
     const SimTime sent_at = p.send_time;
@@ -320,36 +324,36 @@ void SurveyProber::deliver(const net::Packet& packet, std::uint32_t copies) {
     // analysis ignores these, as ISI's does.
     const auto up = net::UnreachablePayload::decode(msg->payload.view());
     if (!up.has_value()) return;
-    const auto it = outstanding_.find(up->original_dst.value());
-    if (it == outstanding_.end()) return;
+    const PendingTable::Entry* probe = outstanding_.find(up->original_dst.value());
+    if (probe == nullptr) return;
     SurveyRecord rec;
     rec.type = RecordType::kError;
     rec.address = up->original_dst;
-    rec.probe_time = it->second.send_time.truncate_to_seconds();
-    rec.round = it->second.round;
+    rec.probe_time = probe->send_time.truncate_to_seconds();
+    rec.round = probe->round;
     log_.append(rec);
-    outstanding_.erase(it);
+    outstanding_.erase(probe);
     errors_->inc();
   }
 }
 
 void SurveyProber::handle_echo_reply(const net::Packet& packet, std::uint32_t copies) {
   const net::Ipv4Address src = packet.src;
-  const auto it = outstanding_.find(src.value());
-  if (it != outstanding_.end()) {
+  const PendingTable::Entry* probe = outstanding_.find(src.value());
+  if (probe != nullptr) {
     SurveyRecord rec;
     rec.type = RecordType::kMatched;
     rec.address = src;
-    rec.probe_time = it->second.send_time;
-    rec.rtt = sim_.now() - it->second.send_time;  // µs precision
+    rec.probe_time = probe->send_time;
+    rec.rtt = sim_.now() - probe->send_time;  // µs precision
     // A matched RTT is bounded by the timeout window: the probe was sent at
     // send_time and its expiry timer has not fired yet. Negative would mean
     // the simulator clock ran backwards under us.
     TURTLE_DCHECK(!rec.rtt.is_negative()) << "negative RTT for " << src.value();
     TURTLE_DCHECK_LE(rec.rtt, config_.match_timeout);
-    rec.round = it->second.round;
+    rec.round = probe->round;
     log_.append(rec);
-    outstanding_.erase(it);
+    outstanding_.erase(probe);
     matched_->inc();
     rtt_->observe(rec.rtt);
     TURTLE_TRACE(trace_, complete("probe.matched", "survey", rec.probe_time, sim_.now()));

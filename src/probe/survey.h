@@ -26,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "probe/checkpoint.h"
+#include "probe/pending_table.h"
 #include "probe/records.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -48,10 +49,10 @@ struct SurveyConfig {
 
   // --- Resilience knobs (turtle::fault) ---------------------------------
   /// Bound on outstanding probes. A duplicate/DoS storm cannot grow the
-  /// pending map without limit: past the bound the *oldest* outstanding
+  /// pending table without limit: past the bound the *oldest* outstanding
   /// probe is written off as a TIMEOUT record and evicted (counted under
   /// "fault.survey.pending_evicted"). FIFO order keeps eviction
-  /// deterministic — hash-map iteration order is not.
+  /// deterministic — hash-table iteration order is not.
   std::size_t max_pending = std::size_t{1} << 20;
   /// Bound on the unmatched-coalescing index. Overflow flushes the index
   /// ("fault.survey.unmatched_flushed"); coalescing restarts, so a flush
@@ -137,11 +138,6 @@ class SurveyProber : public sim::PacketSink {
   /// builds without this layer.
   obs::Counter& fault_counter(obs::Counter*& slot, const char* name);
 
-  struct Outstanding {
-    SimTime send_time;
-    std::uint32_t round;
-  };
-
   /// Coalescing state: the last unmatched record per source.
   struct UnmatchedSlot {
     std::int64_t second;
@@ -155,7 +151,7 @@ class SurveyProber : public sim::PacketSink {
   std::vector<SimTime> block_phase_;  ///< per-block de-synchronization
   util::Prng rng_;
 
-  std::unordered_map<std::uint32_t, Outstanding> outstanding_;
+  PendingTable outstanding_;
   std::unordered_map<std::uint32_t, UnmatchedSlot> last_unmatched_;
   RecordLog log_;
 

@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -110,7 +111,41 @@ void Network::send(const net::Packet& packet, std::uint32_t copies) {
 
   transit_delay_->observe(transit);
   packets_delivered_->inc(surviving);
-  sim_.schedule_after(transit, [sink, packet, surviving] { sink->deliver(packet, surviving); });
+  const std::uint32_t index = park(Parked{packet, sink, surviving});
+  sim_.schedule_after(transit, [this, index] {
+    const Parked parked = unpark(index);
+    parked.sink->deliver(parked.packet, parked.copies);
+  });
+}
+
+void Network::send_after(SimTime delay, const net::Packet& packet, std::uint32_t copies) {
+  const std::uint32_t index = park(Parked{packet, nullptr, copies});
+  sim_.schedule_after(delay, [this, index] {
+    const Parked parked = unpark(index);
+    send(parked.packet, parked.copies);
+  });
+}
+
+std::uint32_t Network::park(const Parked& parked) {
+  if (free_parked_.empty()) {
+    TURTLE_CHECK_LT(parked_.size(),
+                    static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max()))
+        << "more than 2^32 packets in flight";
+    parked_.push_back(parked);
+    return static_cast<std::uint32_t>(parked_.size() - 1);
+  }
+  const std::uint32_t index = free_parked_.back();
+  free_parked_.pop_back();
+  parked_[index] = parked;
+  return index;
+}
+
+Network::Parked Network::unpark(std::uint32_t index) {
+  // A copy, not a reference: delivering may park more packets and grow
+  // the slab under it.
+  const Parked parked = parked_[index];
+  free_parked_.push_back(index);
+  return parked;
 }
 
 }  // namespace turtle::sim

@@ -5,10 +5,18 @@
 // simulator event. Host-specific behaviour (radio wake-up, buffering,
 // broadcast fan-out) lives behind the PacketSink interface in the hosts
 // module; the fabric stays dumb on purpose.
+//
+// A packet waiting on an event — in transit, or a reply a host holds back
+// for its access delay (send_after) — is parked in a free-listed slab
+// owned by the fabric, and the event's closure captures the slot index.
+// An 88-byte Packet captured by value would overflow the event queue's
+// 48-byte inline callback and cost an allocation per packet; the slab
+// grows to the most packets ever in flight at once and is reused after.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "net/packet.h"
 #include "obs/metrics.h"
@@ -102,6 +110,11 @@ class Network {
   /// or dropped (loss / unresolvable destination).
   void send(const net::Packet& packet, std::uint32_t copies = 1);
 
+  /// send(packet, copies) `delay` from now: the packet waits in the slab,
+  /// not in the event's closure. What a host uses to reply after its
+  /// access delay.
+  void send_after(SimTime delay, const net::Packet& packet, std::uint32_t copies = 1);
+
   /// Counters for sanity checks and the response-rate plots. Thin shims
   /// over the registry metrics.
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_->value(); }
@@ -113,12 +126,27 @@ class Network {
   [[nodiscard]] Simulator& simulator() { return sim_; }
 
  private:
+  /// A packet waiting on an event. `sink` is where it is delivered, or
+  /// nullptr for a send_after packet that has yet to be sent.
+  struct Parked {
+    net::Packet packet;
+    PacketSink* sink = nullptr;
+    std::uint32_t copies = 0;
+  };
+
+  /// Stores `parked` in a free slot and returns the slot's index.
+  [[nodiscard]] std::uint32_t park(const Parked& parked);
+  /// Frees slot `index` and returns what it held.
+  [[nodiscard]] Parked unpark(std::uint32_t index);
+
   Simulator& sim_;
   Config config_;
   util::Prng rng_;
   AddressResolver* host_resolver_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
   std::map<std::uint32_t, PacketSink*> endpoints_;
+  std::vector<Parked> parked_;                ///< slab of packets in flight
+  std::vector<std::uint32_t> free_parked_;    ///< parked_ slots ready for reuse
 
   // Applied-fault counters, bound when a hook is installed (cold path;
   // faultless runs never create them, keeping metrics dumps unchanged).

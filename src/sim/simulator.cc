@@ -22,7 +22,10 @@ void Simulator::sync_queue_metrics() {
 
 void Simulator::schedule_at(SimTime t, Callback cb) {
   TURTLE_DCHECK_GE(t, now_) << "schedule_at in the simulated past";
-  queue_.push(t < now_ ? now_ : t, std::move(cb));
+  if (t < now_) t = now_;
+  // The clock never goes back, so events at one fixed delay from it are
+  // pushed in time order: the lane for that delay stays sorted.
+  queue_.push(t, std::move(cb), queue_.lane_for(t - now_));
 }
 
 void Simulator::schedule_after(SimTime delay, Callback cb) {

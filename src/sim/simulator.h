@@ -57,6 +57,12 @@ class Simulator : public util::CheckContext {
   /// error (DCHECK), clamped to zero in release.
   void schedule_after(SimTime delay, Callback cb);
 
+  /// Declares a delay that many events are scheduled at: from now on an
+  /// event scheduled exactly `delay` after now() queues in a FIFO lane
+  /// (see EventQueue) instead of the heap. Firing order is unchanged;
+  /// only the cost of keeping it falls.
+  void declare_fixed_delay(SimTime delay) { queue_.add_lane(delay); }
+
   /// Runs until the event queue is empty.
   void run();
 

@@ -14,10 +14,16 @@
 //     move-only captures like std::unique_ptr);
 //   * no target()/target_type() RTTI;
 //   * invocation is non-const (callables may mutate their captures).
+//
+// A trivially copyable inline callable (pointers, indices and times by
+// value — nearly every event the simulator schedules) has no manager: a
+// move copies the buffer's bytes and destruction does nothing, so an
+// event's trips into the queue's slab and out again make no indirect call.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -55,7 +61,9 @@ class InlineFunction<R(Args...), InlineBytes> {
     if constexpr (stores_inline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       invoke_ = &invoke_inline<Fn>;
-      manage_ = &manage_inline<Fn>;
+      // Trivially copyable: relocated by copying bytes, destroyed by
+      // forgetting them (see move_from and reset).
+      if constexpr (!std::is_trivially_copyable_v<Fn>) manage_ = &manage_inline<Fn>;
     } else {
       ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       invoke_ = &invoke_heap<Fn>;
@@ -124,7 +132,11 @@ class InlineFunction<R(Args...), InlineBytes> {
   void move_from(InlineFunction& other) noexcept {
     invoke_ = other.invoke_;
     manage_ = other.manage_;
-    if (manage_ != nullptr) manage_(Op::kMoveTo, other.storage_, storage_);
+    if (manage_ != nullptr) {
+      manage_(Op::kMoveTo, other.storage_, storage_);
+    } else if (invoke_ != nullptr) {
+      std::memcpy(storage_, other.storage_, InlineBytes);
+    }
     other.invoke_ = nullptr;
     other.manage_ = nullptr;
   }

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace turtle::util {
@@ -130,6 +132,25 @@ TEST(InlineFunction, SelfMoveAssignmentIsANoOp) {
   fn = std::move(alias);
   fn();
   EXPECT_EQ(hits, 1);
+}
+
+// A trivially copyable capture (the simulator's common case) is relocated
+// by copying bytes: every captured word survives moves and move-assignment
+// over another trivial target, and a moved-from wrapper is empty.
+TEST(InlineFunction, TriviallyCopyableCaptureSurvivesMoves) {
+  std::int64_t sum = 0;
+  const std::int64_t a = 1, b = 20, c = 300, d = 4000, e = 50000;
+  auto add = [&sum, a, b, c, d, e] { sum += a + b + c + d + e; };
+  static_assert(std::is_trivially_copyable_v<decltype(add)>);
+  static_assert(sizeof(add) == 48);
+  Fn48 fn{add};
+  Fn48 moved{std::move(fn)};
+  EXPECT_FALSE(static_cast<bool>(fn));  // NOLINT(bugprone-use-after-move)
+  moved();
+  Fn48 other{[&sum] { sum = -1; }};
+  other = std::move(moved);
+  other();
+  EXPECT_EQ(sum, 2 * 54321);
 }
 
 TEST(InlineFunction, AdmitsMoveOnlyCaptures) {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
+#include "util/prng.h"
 
 namespace turtle::sim {
 namespace {
@@ -69,7 +73,59 @@ TEST(EventQueue, MoveOnlyCallback) {
   EXPECT_EQ(seen, 42);
 }
 
+// Lane entries and heap entries share one seq counter, so a tie at one
+// timestamp fires in push order whichever structure holds each entry.
+TEST(EventQueue, LanesAndHeapShareOneOrder) {
+  EventQueue q;
+  const std::size_t lane = q.add_lane(SimTime::seconds(3));
+  EXPECT_EQ(q.add_lane(SimTime::seconds(3)), lane);  // one lane per delay
+  EXPECT_EQ(q.lane_for(SimTime::seconds(3)), lane);
+  EXPECT_EQ(q.lane_for(SimTime::seconds(4)), EventQueue::kNoLane);
+  std::vector<int> fired;
+  q.push(SimTime::seconds(5), [&] { fired.push_back(0); });
+  q.push(SimTime::seconds(5), [&] { fired.push_back(1); }, lane);
+  q.push(SimTime::seconds(5), [&] { fired.push_back(2); });
+  q.push(SimTime::seconds(6), [&] { fired.push_back(3); }, lane);
+  q.push(SimTime::seconds(4), [&] { fired.push_back(4); });
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.next_time(), SimTime::seconds(4));
+  while (!q.empty()) q.pop()();
+  EXPECT_EQ(fired, (std::vector<int>{4, 0, 1, 2, 3}));
+  EXPECT_EQ(q.high_water(), 5u);
+}
+
+// A lane's ring wraps and grows while it holds entries: FIFO order holds
+// across both.
+TEST(EventQueue, LaneRingWrapsAndGrows) {
+  EventQueue q;
+  const std::size_t lane = q.add_lane(SimTime::micros(1));
+  std::vector<int> fired;
+  int next_push = 0;
+  for (int wave = 0; wave < 30; ++wave) {
+    for (int i = 0; i < 5 + wave; ++i) {
+      const int id = next_push++;
+      q.push(SimTime::micros(id), [&fired, id] { fired.push_back(id); }, lane);
+    }
+    for (int i = 0; i < 4; ++i) q.pop()();
+  }
+  while (!q.empty()) q.pop()();
+  std::vector<int> expected(static_cast<std::size_t>(next_push));
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(fired, expected);
+}
+
 #if TURTLE_DCHECK_ENABLED
+TEST(EventQueueDeathTest, LanePushBehindItsBackTripsDcheck) {
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        const std::size_t lane = q.add_lane(SimTime::seconds(3));
+        q.push(SimTime::seconds(10), [] {}, lane);
+        q.push(SimTime::seconds(9), [] {}, lane);
+      },
+      "behind the lane's back");
+}
+
 TEST(EventQueueDeathTest, PopOnEmptyTripsDcheck) {
   EXPECT_DEATH(
       {
@@ -234,6 +290,95 @@ TEST(Simulator, InterleavedSourcesStayOrdered) {
   }
   sim.run();
   for (std::size_t i = 1; i < order.size(); ++i) ASSERT_GE(order[i], order[i - 1]);
+}
+
+// Two declared fixed delays plus heap delays drawn from a small range,
+// so timestamps tie across the heap and both lanes, with events pushed
+// both between runs and from inside callbacks. The firing order must be
+// exactly a stable sort of the pushes by time — what one heap gives —
+// and the queue depth must count lane entries.
+class LaneOrderModel {
+ public:
+  static constexpr std::int64_t kSlotUs = 5;
+  static constexpr std::int64_t kTimeoutUs = 7;
+
+  LaneOrderModel(Simulator& sim, int budget) : sim_{sim}, budget_{budget} {
+    sim_.declare_fixed_delay(SimTime::micros(kSlotUs));
+    sim_.declare_fixed_delay(SimTime::micros(kTimeoutUs));
+  }
+
+  /// Schedules one event at a random delay from now.
+  void push() {
+    const auto id = static_cast<int>(push_times_.size());
+    const SimTime at = sim_.now() + random_delay();
+    push_times_.push_back(at);
+    if (++pending_ > peak_) peak_ = pending_;
+    --budget_;
+    sim_.schedule_at(at, [this, id] { fire(id); });
+  }
+
+  [[nodiscard]] bool has_budget() const { return budget_ > 0; }
+  [[nodiscard]] std::size_t peak() const { return peak_; }
+  [[nodiscard]] const std::vector<int>& fired() const { return fired_; }
+
+  /// Push ids in a stable sort by push time.
+  [[nodiscard]] std::vector<int> expected_order() const {
+    std::vector<int> ids(push_times_.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    std::stable_sort(ids.begin(), ids.end(), [this](int a, int b) {
+      return push_times_[static_cast<std::size_t>(a)] < push_times_[static_cast<std::size_t>(b)];
+    });
+    return ids;
+  }
+
+ private:
+  SimTime random_delay() {
+    switch (rng_.uniform_int(4)) {
+      case 0:
+        return SimTime::micros(kSlotUs);
+      case 1:
+        return SimTime::micros(kTimeoutUs);
+      default: {
+        // Heap delays: 0..12 µs minus the two lane delays.
+        static constexpr std::int64_t kHeapUs[] = {0, 1, 2, 3, 4, 6, 8, 9, 10, 11, 12};
+        return SimTime::micros(kHeapUs[rng_.uniform_int(std::size(kHeapUs))]);
+      }
+    }
+  }
+
+  void fire(int id) {
+    EXPECT_EQ(sim_.now(), push_times_[static_cast<std::size_t>(id)]);
+    fired_.push_back(id);
+    --pending_;
+    EXPECT_EQ(sim_.pending_events(), pending_);
+    const std::uint64_t children = rng_.uniform_int(4);
+    for (std::uint64_t i = 0; i < children && has_budget(); ++i) push();
+  }
+
+  Simulator& sim_;
+  util::Prng rng_{0x1A4E};
+  int budget_;
+  std::vector<SimTime> push_times_;
+  std::vector<int> fired_;
+  std::size_t pending_ = 0;
+  std::size_t peak_ = 0;
+};
+
+TEST(Simulator, FixedDelayLanesFireInStableTimeOrder) {
+  obs::Registry registry;
+  Simulator sim{&registry};
+  LaneOrderModel model{sim, 20'000};
+  // Batches pushed from outside callbacks at advancing clocks, each run
+  // partly drained so later batches meet queued entries of every kind.
+  for (int batch = 0; batch < 50 && model.has_budget(); ++batch) {
+    for (int i = 0; i < 40 && model.has_budget(); ++i) model.push();
+    sim.run_until(sim.now() + SimTime::micros(3));
+  }
+  sim.run();
+  ASSERT_FALSE(model.has_budget());
+  EXPECT_EQ(model.fired(), model.expected_order());
+  EXPECT_EQ(registry.gauge("sim.queue_high_water").value(),
+            static_cast<std::int64_t>(model.peak()));
 }
 
 }  // namespace

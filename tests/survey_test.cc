@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "hosts/gateways.h"
 #include "hosts/host.h"
+#include "hosts/population.h"
+#include "obs/metrics.h"
+#include "probe/pending_table.h"
+#include "util/crc64.h"
 #include "test_world.h"
 
 namespace turtle::probe {
@@ -235,6 +244,167 @@ TEST_F(SurveyFixture, RecordsCarryRoundNumbers) {
     if (rec.type == RecordType::kMatched) rounds.push_back(rec.round);
   }
   EXPECT_EQ(rounds, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+}
+
+
+// Pins a default-configured survey's whole output: every byte of the saved
+// record log and every engine, fabric and prober counter. How events are
+// queued, packets carried and probes tracked is free to change; what the
+// survey records is not. A reordered equal-time tie moves the digest.
+TEST(SurveyStream, DefaultWorldRecordStreamIsPinned) {
+  obs::Registry registry;
+  sim::Simulator sim{&registry};
+  sim::Network::Config net_config;
+  net_config.registry = &registry;
+  sim::Network net{sim, net_config, util::Prng{11}};
+  hosts::HostContext ctx{sim, net};
+  const hosts::AsCatalog catalog = hosts::AsCatalog::standard();
+  hosts::PopulationConfig population_config;
+  population_config.num_blocks = 40;
+  hosts::Population population{ctx, catalog, population_config, util::Prng{12}};
+  net.set_host_resolver(&population);
+  // The stream covers floods, broadcast answers and buffered cellular
+  // replies.
+  const hosts::PopulationStats stats = population.stats();
+  EXPECT_GT(stats.flood_duplicators, 0u);
+  EXPECT_GT(stats.broadcast_responders, 0u);
+  EXPECT_GT(stats.cellular, 0u);
+
+  SurveyConfig config;
+  config.rounds = 6;
+  config.registry = &registry;
+  SurveyProber prober{sim, net, config, population.blocks(), util::Prng{13}};
+  prober.start();
+  sim.run();
+
+  std::ostringstream saved;
+  prober.log().save(saved);
+  const std::string bytes = saved.str();
+  EXPECT_EQ(util::crc64(bytes.data(), bytes.size()), 0x37DADAC100C67981ull);
+
+  std::map<std::string, std::int64_t> metrics;
+  for (const auto& [name, counter] : registry.counters()) {
+    metrics[name] = static_cast<std::int64_t>(counter.value());
+  }
+  for (const auto& [name, histogram] : registry.histograms()) {
+    metrics[name + ".count"] = static_cast<std::int64_t>(histogram.count());
+    metrics[name + ".sum_us"] = histogram.sum_us();
+  }
+  metrics["sim.queue_high_water"] = registry.gauge("sim.queue_high_water").value();
+  const std::map<std::string, std::int64_t> expected = {
+      {"net.packets_delivered", 38440},
+      {"net.packets_dropped", 42011},
+      {"net.packets_sent", 80451},
+      {"net.transit_delay.count", 38440},
+      {"net.transit_delay.sum_us", 194555738},
+      {"sim.event_times", 180327},
+      {"sim.events_processed", 180331},
+      {"sim.queue_high_water", 102},
+      {"survey.errors", 4714},
+      {"survey.matched", 13595},
+      {"survey.probes_sent", 61440},
+      {"survey.responses_received", 14260},
+      {"survey.rtt.count", 13595},
+      {"survey.rtt.sum_us", 4022914225},
+      {"survey.timeouts", 43131},
+      {"survey.unmatched_packets", 665},
+  };
+  EXPECT_EQ(metrics, expected);
+}
+
+
+// The pending table against std::unordered_map. Addresses cluster in a
+// few /24s, as a survey's do, including 0.0.0.0/24 and 255.255.255.0/24
+// at the ends of the address space. Each phase holds the live count near its
+// own target: the small ones keep a 16- or 32-slot table near half full,
+// where probe runs cross the array's end and backward-shift erase must
+// wrap, and the large ones grow it past 1024 slots and shrink it back.
+// Every find is checked, and for_each must visit exactly the live probes.
+TEST(PendingTable, MatchesUnorderedMap) {
+  struct Probe {
+    SimTime send_time;
+    std::uint32_t round;
+  };
+  util::Prng rng{0x7AB1E};
+  PendingTable table;
+  std::unordered_map<std::uint32_t, Probe> model;
+  std::vector<std::uint32_t> live;  // the model's keys, to pick erasures from
+  const std::uint32_t networks[] = {10u << 16, (10u << 16) + 1, (10u << 16) + 2,
+                                    (192u << 16) | (168u << 8) | 7, 0, 0xFFFFFFu};
+  const auto pick = [&] {
+    const std::uint32_t network = networks[rng.uniform_int(std::size(networks))];
+    return (network << 8) | static_cast<std::uint32_t>(rng.uniform_int(256));
+  };
+  const auto check_for_each = [&] {
+    std::unordered_map<std::uint32_t, Probe> visited;
+    table.for_each([&](const PendingTable::Entry& entry) {
+      EXPECT_TRUE(visited.emplace(entry.address, Probe{entry.send_time, entry.round}).second);
+    });
+    ASSERT_EQ(visited.size(), model.size());
+    for (const auto& [address, probe] : model) {
+      const auto it = visited.find(address);
+      ASSERT_NE(it, visited.end());
+      EXPECT_EQ(it->second.send_time, probe.send_time);
+      EXPECT_EQ(it->second.round, probe.round);
+    }
+  };
+
+  std::size_t largest_capacity = 0;
+  const std::size_t targets[] = {7, 5, 7, 14, 1000, 7, 600, 3, 7, 40};
+  for (std::size_t phase = 0; phase < std::size(targets); ++phase) {
+    for (int step = 0; step < 20'000; ++step) {
+      const std::uint64_t op = rng.uniform_int(100);
+      if (op < 30) {
+        // Find: a random address, live or not.
+        const std::uint32_t address = pick();
+        const PendingTable::Entry* entry = table.find(address);
+        const auto it = model.find(address);
+        ASSERT_EQ(entry != nullptr, it != model.end()) << "address " << address;
+        if (entry != nullptr) {
+          EXPECT_EQ(entry->address, address);
+          EXPECT_EQ(entry->send_time, it->second.send_time);
+          EXPECT_EQ(entry->round, it->second.round);
+        }
+      } else if (live.empty() || (table.size() < targets[phase] && op < 90)) {
+        // Put: a new probe, or a new send of a live one.
+        const std::uint32_t address = pick();
+        const Probe probe{SimTime::micros(static_cast<std::int64_t>(rng.uniform_int(1u << 30))),
+                          static_cast<std::uint32_t>(rng.uniform_int(50))};
+        table.put(address, probe.send_time, probe.round);
+        if (model.insert_or_assign(address, probe).second) live.push_back(address);
+      } else {
+        // Erase a live probe.
+        const std::size_t k = rng.uniform_int(live.size());
+        const std::uint32_t address = live[k];
+        live[k] = live.back();
+        live.pop_back();
+        const PendingTable::Entry* entry = table.find(address);
+        ASSERT_NE(entry, nullptr) << "address " << address;
+        table.erase(entry);
+        model.erase(address);
+      }
+      ASSERT_EQ(table.size(), model.size());
+      if (!table.empty()) {
+        EXPECT_GE(table.capacity(), 2 * table.size());
+        EXPECT_EQ(table.capacity() & (table.capacity() - 1), 0u);
+      }
+      largest_capacity = std::max(largest_capacity, table.capacity());
+      if (step % 1000 == 0) check_for_each();
+    }
+    check_for_each();
+    if (phase == 5) {
+      table.clear();
+      model.clear();
+      live.clear();
+      EXPECT_EQ(table.capacity(), 0u);
+      EXPECT_EQ(table.find(pick()), nullptr);
+    }
+  }
+  EXPECT_GE(largest_capacity, 2048u);
+  // Draining leaves a table sized to what is left.
+  for (const std::uint32_t address : live) table.erase(table.find(address));
+  EXPECT_TRUE(table.empty());
+  EXPECT_LE(table.capacity(), 16u);
 }
 
 }  // namespace
