@@ -28,18 +28,15 @@ int main(int argc, char** argv) {
 
   // Survey-detected only: build reports from matched records alone by
   // running the pipeline, then stripping delayed samples. Simpler and
-  // exactly equivalent: recompute per-address vectors from matched rtts.
-  auto dataset = analysis::SurveyDataset::from_log(prober.log());
+  // exactly equivalent: each timeline's matched RTTs, in request order.
+  const auto dataset = analysis::SurveyDataset::from_log(prober.log());
   std::vector<analysis::AddressReport> reports;
   for (const auto& tl : dataset.timelines()) {
+    if (tl.rtts_s.empty()) continue;
     analysis::AddressReport report;
     report.address = tl.address;
-    for (const auto& req : tl.requests) {
-      if (req.state == analysis::RequestState::kMatched) {
-        report.rtts_s.push_back(req.rtt_s);
-      }
-    }
-    if (!report.rtts_s.empty()) reports.push_back(std::move(report));
+    report.rtts_s.assign(tl.rtts_s.begin(), tl.rtts_s.end());
+    reports.push_back(std::move(report));
   }
 
   const auto pap =

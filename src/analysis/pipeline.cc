@@ -130,11 +130,10 @@ PipelineResult run_pipeline(const SurveyDataset& dataset, const PipelineConfig& 
     const Attribution attr = attribute(tl, scratch);
     c.dropped_packets += attr.dropped_responses;
 
-    std::uint32_t survey_detected = 0;
+    const auto survey_detected = static_cast<std::uint32_t>(tl.rtts_s.size());
     std::uint32_t timeouts = 0;
     std::uint32_t max_responses = 0;
     for (const Request& r : tl.requests) {
-      if (r.state == RequestState::kMatched) ++survey_detected;
       if (r.state == RequestState::kTimedOut) ++timeouts;
     }
     for (const RequestScratch& r : scratch) max_responses = std::max(max_responses, r.responses);
@@ -175,9 +174,7 @@ PipelineResult run_pipeline(const SurveyDataset& dataset, const PipelineConfig& 
     report.max_responses_single_request = max_responses;
 
     report.rtts_s.reserve(survey_detected + attr.delayed_rtts.size());
-    for (const Request& r : tl.requests) {
-      if (r.state == RequestState::kMatched) report.rtts_s.push_back(r.rtt_s);
-    }
+    report.rtts_s.assign(tl.rtts_s.begin(), tl.rtts_s.end());
     report.rtts_s.insert(report.rtts_s.end(), attr.delayed_rtts.begin(),
                          attr.delayed_rtts.end());
 

@@ -182,8 +182,8 @@ const char* lookup_scope_name(LookupScope scope) {
   TURTLE_UNREACHABLE();
 }
 
-OracleSnapshot OracleSnapshot::build(analysis::SurveyDataset& dataset, SnapshotConfig config,
-                                     const hosts::GeoDatabase* geo) {
+OracleSnapshot OracleSnapshot::build(const analysis::SurveyDataset& dataset,
+                                     SnapshotConfig config, const hosts::GeoDatabase* geo) {
   TURTLE_CHECK(!config.percentiles.empty()) << "snapshot needs at least one percentile";
   Tiers tiers;
 
@@ -259,8 +259,7 @@ OracleSnapshot OracleSnapshot::build(analysis::SurveyDataset& dataset, SnapshotC
 
 OracleSnapshot OracleSnapshot::build(const probe::RecordLog& log, SnapshotConfig config,
                                      const hosts::GeoDatabase* geo) {
-  analysis::SurveyDataset dataset = analysis::SurveyDataset::from_log(log);
-  return build(dataset, std::move(config), geo);
+  return build(analysis::SurveyDataset::from_log(log), std::move(config), geo);
 }
 
 OracleSnapshot::OracleSnapshot(std::unique_ptr<unsigned char[]> image,

@@ -101,13 +101,14 @@ struct LookupResult {
 /// snapshot mid-lookup.
 class OracleSnapshot {
  public:
-  /// Builds from a grouped dataset (mutated by the filtering pipeline —
-  /// pass a fresh one). `geo`, when given, enables the AS tier; without it
-  /// lookups fall back block -> global. The pipeline's broadcast and
-  /// duplicate filters run first, so poisoned responders never contribute
-  /// to any tier's quantiles. The folded tiers are serialized into the
-  /// snapshot's image, exactly the bytes write() later emits.
-  static OracleSnapshot build(analysis::SurveyDataset& dataset, SnapshotConfig config = {},
+  /// Builds from a grouped dataset. `geo`, when given, enables the AS
+  /// tier; without it lookups fall back block -> global. The pipeline's
+  /// broadcast and duplicate filters run first, so poisoned responders
+  /// never contribute to any tier's quantiles. The folded tiers are
+  /// serialized into the snapshot's image, exactly the bytes write() later
+  /// emits.
+  static OracleSnapshot build(const analysis::SurveyDataset& dataset,
+                              SnapshotConfig config = {},
                               const hosts::GeoDatabase* geo = nullptr);
 
   /// Convenience: groups the log, then builds. This is the crash-recovery

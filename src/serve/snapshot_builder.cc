@@ -88,6 +88,21 @@ void remove_spills(const SpillPaths& paths) {
   }
 }
 
+/// Removes every shard's spill files when the build ends, whether it
+/// returns or throws.
+class SpillCleanup {
+ public:
+  explicit SpillCleanup(const std::vector<SpillPaths>& paths) : paths_{paths} {}
+  ~SpillCleanup() {
+    for (const SpillPaths& path : paths_) remove_spills(path);
+  }
+  SpillCleanup(const SpillCleanup&) = delete;
+  SpillCleanup& operator=(const SpillCleanup&) = delete;
+
+ private:
+  const std::vector<SpillPaths>& paths_;
+};
+
 /// Streams a whole spill file into the writer (used for the block
 /// sections, whose global sorted order is exactly shard-concatenation).
 void concat_file(sf::Writer& writer, const std::string& path) {
@@ -101,17 +116,21 @@ void concat_file(sf::Writer& writer, const std::string& path) {
   }
 }
 
-/// Folds one shard: run the filtering pipeline over the shard's records,
-/// walk reports in the canonical network order, freeze block aggregates,
-/// and spill the AS-tier RTT run plus the matrix columns.
+/// Folds one shard: group the shard's records, run the filtering
+/// pipeline, walk reports in the canonical network order, freeze block
+/// aggregates, and spill the AS-tier RTT run plus the matrix columns.
 ShardOutput fold_shard(const SpillPaths& paths, const BuilderConfig& config) {
   ShardOutput out;
-  probe::RecordLog log;
-  {
-    std::ifstream is = open_in(paths.records);
-    log = probe::RecordLog::load(is);
-  }
-  analysis::SurveyDataset dataset = analysis::SurveyDataset::from_log(log);
+  // Grouping reads the spill twice, a block at a time, through the same
+  // tolerant reader RecordLog::load uses: the shard's records are never
+  // in memory, only its dataset.
+  const analysis::SurveyDataset dataset =
+      analysis::SurveyDataset::from_records([&paths](const auto& visit) {
+        std::ifstream is = open_in(paths.records);
+        probe::RecordReader reader{is};
+        probe::SurveyRecord record;
+        while (reader.next(record)) visit(record);
+      });
   analysis::PipelineConfig pipeline_config;  // defaults, same as OracleSnapshot::build
   const analysis::PipelineResult result = analysis::run_pipeline(dataset, pipeline_config);
 
@@ -278,6 +297,7 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
   std::vector<SpillPaths> paths;
   paths.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) paths.push_back(spill_paths(prefix, i));
+  const SpillCleanup cleanup{paths};
 
   // Pass B: partition the log into per-shard record spills, streaming.
   {
@@ -437,8 +457,6 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
     }
     writer.finish();
   }
-
-  for (const SpillPaths& path : paths) remove_spills(path);
 
   if (config.registry != nullptr) {
     obs::Registry& registry = *config.registry;

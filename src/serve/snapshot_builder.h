@@ -17,13 +17,14 @@
 //           the analysis pipeline is address-local, which makes a
 //           per-shard pipeline run equal the global run restricted to
 //           the shard);
-//   pass C  fold shards in parallel on a util::ThreadPool: load the
-//           shard's spill (bounded by the budget), run the filtering
-//           pipeline, stable-sort reports by network (the format's
-//           canonical fold order, shared with OracleSnapshot::build),
-//           fold block aggregates, and spill sorted block keys/ASNs/
-//           frozen aggregates plus the AS-tier RTT run and the shard's
-//           per-address percentile columns;
+//   pass C  fold shards in parallel on a util::ThreadPool: group the
+//           shard into a SurveyDataset by reading its spill twice (count,
+//           then place; the shard's records are never loaded), run the
+//           filtering pipeline, stable-sort reports by network (the
+//           format's canonical fold order, shared with
+//           OracleSnapshot::build), fold block aggregates, and spill
+//           sorted block keys/ASNs/frozen aggregates plus the AS-tier RTT
+//           run and the shard's per-address percentile columns;
 //   pass D  merge sequentially in shard order: concatenate the block
 //           sections (shard ranges are ascending, so concatenation IS
 //           the global sorted order), replay the AS RTT runs into per-AS
@@ -32,10 +33,12 @@
 //           Table 2 matrix, and stream everything through
 //           snapshot_format::Writer.
 //
-// Peak memory is O(shard) + O(distinct ASes) + O(addresses × percentiles)
-// for the matrix columns — each a small fraction of the log (a record is
-// 32 bytes and an address contributes many records), which is the bound
-// the snapshot-smoke CI job enforces with a hard RSS cap.
+// Peak memory is O(shard's dataset) per job + O(distinct ASes) +
+// O(addresses × percentiles) for the matrix columns — each a small
+// fraction of the log (a record is 32 bytes on disk, a grouped request 16
+// plus 8 for a matched RTT, and an address contributes many records),
+// which is the bound the snapshot-smoke CI job enforces with a hard RSS
+// cap.
 //
 // Determinism: the shard plan ignores --jobs, shard folds share no state,
 // and the merge walks shards in index order — so the output file is
@@ -62,7 +65,8 @@ struct BuilderConfig {
   const hosts::GeoDatabase* geo = nullptr;
 
   /// Worker threads for the per-shard fold pass. Affects wall clock and
-  /// peak RSS (jobs shards are resident at once), never output bytes.
+  /// peak RSS (jobs shards' datasets are resident at once), never output
+  /// bytes.
   std::size_t jobs = 1;
 
   /// Target bytes of record-log input per shard. Smaller = lower peak
@@ -70,8 +74,8 @@ struct BuilderConfig {
   std::uint64_t shard_budget_bytes = 64ULL << 20;
   std::size_t max_shards = 256;
 
-  /// Prefix for spill files (removed on success); defaults to
-  /// `<out_path>.tmp.` when empty.
+  /// Prefix for spill files, which the build removes whether it returns
+  /// or throws; defaults to `<out_path>.tmp.` when empty.
   std::string temp_prefix;
 
   /// When set, publishes the build ledger as snapshot.build.* counters

@@ -1,7 +1,13 @@
+#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "analysis/dataset.h"
 #include "analysis/pipeline.h"
+#include "util/prng.h"
 
 namespace turtle::analysis {
 namespace {
@@ -36,6 +42,19 @@ probe::SurveyRecord unmatched(net::Ipv4Address addr, double t_s, std::uint32_t c
   r.probe_time = SimTime::from_seconds(t_s).truncate_to_seconds();
   r.count = count;
   return r;
+}
+
+/// The flat layout's exact sizing: each timeline's run in every array
+/// starts where the previous timeline's ends, so the runs tile each array
+/// with no gap.
+void expect_runs_tile_arrays(const SurveyDataset& ds) {
+  const std::vector<AddressTimeline>& tls = ds.timelines();
+  for (std::size_t i = 1; i < tls.size(); ++i) {
+    const AddressTimeline& prev = tls[i - 1];
+    EXPECT_EQ(tls[i].requests.data(), prev.requests.data() + prev.requests.size());
+    EXPECT_EQ(tls[i].rtts_s.data(), prev.rtts_s.data() + prev.rtts_s.size());
+    EXPECT_EQ(tls[i].unmatched.data(), prev.unmatched.data() + prev.unmatched.size());
+  }
 }
 
 TEST(SurveyDataset, GroupsByAddress) {
@@ -82,9 +101,153 @@ TEST(SurveyDataset, SizesEachTimelineExactly) {
   EXPECT_EQ(ds.timelines().capacity(), ds.timelines().size());
   for (const AddressTimeline& tl : ds.timelines()) {
     EXPECT_EQ(tl.requests.size(), 50u);
-    EXPECT_EQ(tl.requests.capacity(), tl.requests.size());
     EXPECT_EQ(tl.unmatched.size(), 3u);
-    EXPECT_EQ(tl.unmatched.capacity(), tl.unmatched.size());
+  }
+  EXPECT_EQ(ds.find(kAddr)->rtts_s.size(), 50u);
+  EXPECT_TRUE(ds.find(kOther)->rtts_s.empty());
+  expect_runs_tile_arrays(ds);
+}
+
+TEST(SurveyDataset, MovesEachRttWithItsRequest) {
+  probe::RecordLog log;
+  // Two matched probes logged out of send-time order (as a silently
+  // corrupted timestamp or a crash/resume splice can leave them): sorting
+  // the requests must carry each RTT along.
+  log.append(matched(kAddr, 11, 0.05, 1));
+  log.append(matched(kAddr, 10, 0.2, 0));
+
+  const auto ds = SurveyDataset::from_log(log);
+  const AddressTimeline& tl = *ds.find(kAddr);
+  ASSERT_EQ(tl.requests.size(), 2u);
+  EXPECT_EQ(tl.requests[0].round, 0u);
+  EXPECT_EQ(tl.requests[1].round, 1u);
+  ASSERT_EQ(tl.rtts_s.size(), 2u);
+  EXPECT_DOUBLE_EQ(tl.rtts_s[0], 0.2);
+  EXPECT_DOUBLE_EQ(tl.rtts_s[1], 0.05);
+
+  const auto result = run_pipeline(ds, {});
+  ASSERT_EQ(result.addresses.size(), 1u);
+  ASSERT_EQ(result.addresses[0].rtts_s.size(), 2u);
+  EXPECT_DOUBLE_EQ(result.addresses[0].rtts_s[0], 0.2);
+  EXPECT_DOUBLE_EQ(result.addresses[0].rtts_s[1], 0.05);
+}
+
+/// The grouping SurveyDataset's flat arrays replaced, kept as a model:
+/// per-address vectors in order of first appearance, each stable-sorted by
+/// time, with a matched request's RTT stored in the request itself.
+struct ModelRequest {
+  Request request;
+  double rtt_s = 0;
+};
+struct ModelTimeline {
+  net::Ipv4Address address;
+  std::vector<ModelRequest> requests;
+  std::vector<UnmatchedResponse> unmatched;
+};
+
+std::vector<ModelTimeline> model_grouping(const probe::RecordLog& log) {
+  std::vector<ModelTimeline> timelines;
+  std::unordered_map<std::uint32_t, std::size_t> index;
+  for (const probe::SurveyRecord& rec : log.records()) {
+    const auto [it, inserted] = index.try_emplace(rec.address.value(), timelines.size());
+    if (inserted) timelines.push_back(ModelTimeline{rec.address, {}, {}});
+    ModelTimeline& tl = timelines[it->second];
+    const double t = rec.probe_time.as_seconds();
+    switch (rec.type) {
+      case probe::RecordType::kMatched:
+        tl.requests.push_back({{t, rec.round, RequestState::kMatched}, rec.rtt.as_seconds()});
+        break;
+      case probe::RecordType::kTimeout:
+        tl.requests.push_back({{t, rec.round, RequestState::kTimedOut}, 0});
+        break;
+      case probe::RecordType::kError:
+        tl.requests.push_back({{t, rec.round, RequestState::kError}, 0});
+        break;
+      case probe::RecordType::kUnmatched:
+        tl.unmatched.push_back({t, rec.count});
+        break;
+    }
+  }
+  for (ModelTimeline& tl : timelines) {
+    std::stable_sort(tl.requests.begin(), tl.requests.end(),
+                     [](const ModelRequest& a, const ModelRequest& b) {
+                       return a.request.time_s < b.request.time_s;
+                     });
+    std::stable_sort(tl.unmatched.begin(), tl.unmatched.end(),
+                     [](const UnmatchedResponse& a, const UnmatchedResponse& b) {
+                       return a.time_s < b.time_s;
+                     });
+  }
+  return timelines;
+}
+
+/// A random log over a few addresses of one /24. Times fall on a few dozen
+/// seconds, so equal timestamps are common; `in_order` makes them
+/// non-decreasing in log order, so that every timeline is already sorted.
+probe::RecordLog random_log(util::Prng& rng, bool in_order) {
+  probe::RecordLog log;
+  const auto addresses = 1 + rng.uniform_int(6);
+  const auto records = rng.uniform_int(160);
+  std::int64_t clock_us = 0;
+  for (std::uint64_t i = 0; i < records; ++i) {
+    probe::SurveyRecord r;
+    r.type = static_cast<probe::RecordType>(rng.uniform_int(4));
+    r.address = net::Ipv4Address::from_octets(10, 0, 0, static_cast<std::uint8_t>(
+                                                            1 + rng.uniform_int(addresses)));
+    std::int64_t t_us = 0;
+    if (in_order) {
+      clock_us += static_cast<std::int64_t>(rng.uniform_int(3)) * 400'000;
+      t_us = clock_us;
+    } else {
+      t_us = static_cast<std::int64_t>(rng.uniform_int(40)) * 1'000'000 +
+             (rng.bernoulli(0.5) ? 0 : static_cast<std::int64_t>(rng.uniform_int(1'000'000)));
+    }
+    r.probe_time = SimTime::micros(t_us);
+    if (r.type != probe::RecordType::kMatched) r.probe_time = r.probe_time.truncate_to_seconds();
+    if (in_order && log.size() > 0) {
+      r.probe_time = std::max(r.probe_time, log.records().back().probe_time);
+    }
+    if (r.type == probe::RecordType::kMatched) {
+      r.rtt = SimTime::micros(static_cast<std::int64_t>(rng.uniform_int(3'000'000)));
+    }
+    r.round = static_cast<std::uint32_t>(rng.uniform_int(60));
+    r.count = 1 + static_cast<std::uint32_t>(rng.uniform_int(3));
+    log.append(r);
+  }
+  return log;
+}
+
+TEST(SurveyDataset, MatchesPerAddressVectorModel) {
+  util::Prng rng{2015};
+  for (int trial = 0; trial < 400; ++trial) {
+    const probe::RecordLog log = random_log(rng, trial % 4 == 0);
+    const auto ds = SurveyDataset::from_log(log);
+    const std::vector<ModelTimeline> model = model_grouping(log);
+    ASSERT_EQ(ds.address_count(), model.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      const AddressTimeline& tl = ds.timelines()[i];
+      const ModelTimeline& want = model[i];
+      ASSERT_EQ(tl.address, want.address) << "trial " << trial;
+      EXPECT_EQ(ds.find(want.address), &tl);
+      ASSERT_EQ(tl.requests.size(), want.requests.size()) << "trial " << trial;
+      std::vector<double> want_rtts;
+      for (std::size_t k = 0; k < want.requests.size(); ++k) {
+        const Request& got = tl.requests[k];
+        const Request& expected = want.requests[k].request;
+        EXPECT_EQ(got.time_s, expected.time_s) << "trial " << trial << " request " << k;
+        EXPECT_EQ(got.round, expected.round) << "trial " << trial << " request " << k;
+        EXPECT_EQ(got.state, expected.state) << "trial " << trial << " request " << k;
+        if (expected.state == RequestState::kMatched) want_rtts.push_back(want.requests[k].rtt_s);
+      }
+      EXPECT_EQ(std::vector<double>(tl.rtts_s.begin(), tl.rtts_s.end()), want_rtts)
+          << "trial " << trial;
+      ASSERT_EQ(tl.unmatched.size(), want.unmatched.size()) << "trial " << trial;
+      for (std::size_t k = 0; k < want.unmatched.size(); ++k) {
+        EXPECT_EQ(tl.unmatched[k].time_s, want.unmatched[k].time_s) << "trial " << trial;
+        EXPECT_EQ(tl.unmatched[k].count, want.unmatched[k].count) << "trial " << trial;
+      }
+    }
+    expect_runs_tile_arrays(ds);
   }
 }
 

@@ -19,7 +19,13 @@ namespace {
 // --- CsvDirectory ----------------------------------------------------------
 
 struct CsvFixture : ::testing::Test {
-  std::string dir = (std::filesystem::temp_directory_path() / "turtle_csv_test").string();
+  // One directory per test: ctest runs the tests in parallel processes,
+  // and a shared directory was removed by one test's TearDown while
+  // another was writing into it.
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     (std::string{"turtle_csv_test_"} +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+                        .string();
 
   void TearDown() override {
     std::error_code ec;

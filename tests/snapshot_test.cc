@@ -1,7 +1,8 @@
 // snapshot-v1 on-disk format: write/map round trip, the tiers against
 // P2Quantiles folded in the test, corruption rejection (counted, graceful),
 // streaming builder byte-identity with the in-memory serializer across
-// --jobs, the build ledger, and snapshot-file crash recovery.
+// --jobs (on a log grouping must re-sort too), the build ledger, spill
+// cleanup after a failed build, and snapshot-file crash recovery.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -9,12 +10,14 @@
 #include <initializer_list>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/dataset.h"
 #include "core/p2_quantile.h"
 #include "crafted_snapshot.h"
 #include "hosts/asdb.h"
@@ -348,10 +351,10 @@ TEST(SnapshotFile, CorruptionIsRejectedGracefullyAndCounted) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotBuilder, StreamingBuildIsByteIdenticalToInMemoryAcrossJobs) {
-  TestGeo geo;
-  // Six blocks so the tiny shard budget forces a genuinely sharded build.
-  const std::vector<net::Prefix24> blocks = {
+/// Six blocks, so that a tiny shard budget forces a genuinely sharded
+/// build.
+std::vector<net::Prefix24> six_blocks() {
+  return {
       kBlockA,
       kBlockB,
       kBlockC,
@@ -359,6 +362,11 @@ TEST(SnapshotBuilder, StreamingBuildIsByteIdenticalToInMemoryAcrossJobs) {
       net::Prefix24::containing(net::Ipv4Address::from_octets(172, 16, 6, 0)),
       net::Prefix24::containing(net::Ipv4Address::from_octets(192, 0, 2, 0)),
   };
+}
+
+TEST(SnapshotBuilder, StreamingBuildIsByteIdenticalToInMemoryAcrossJobs) {
+  TestGeo geo;
+  const std::vector<net::Prefix24> blocks = six_blocks();
   const probe::RecordLog log = make_log(blocks, 4, 12);
   const std::string log_path = temp_path("builder.records");
   {
@@ -406,6 +414,72 @@ TEST(SnapshotBuilder, StreamingBuildIsByteIdenticalToInMemoryAcrossJobs) {
   for (const std::string& path : {log_path, in_memory_path, streamed_path, streamed_j4_path}) {
     std::remove(path.c_str());
   }
+}
+
+TEST(SnapshotBuilder, StreamingBuildOfOutOfOrderLogIsByteIdentical) {
+  TestGeo geo;
+  const std::vector<net::Prefix24> blocks = six_blocks();
+  // Each pair of rounds is logged later round first, so every address's
+  // matched records are out of send-time order and grouping re-sorts every
+  // timeline, in memory and in each shard.
+  const probe::RecordLog ordered = make_log(blocks, 4, 12);
+  const std::size_t per_round = blocks.size() * 4;
+  probe::RecordLog log;
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    const std::size_t round = i / per_round;
+    log.append(ordered.at((round ^ 1) * per_round + i % per_round));
+  }
+  ASSERT_EQ(log.at(0).round, 1u);
+  ASSERT_EQ(analysis::SurveyDataset::from_log(log).timelines()[0].requests[0].round, 0u);
+
+  const std::string log_path = temp_path("out_of_order.records");
+  {
+    std::ofstream os{log_path, std::ios::binary | std::ios::trunc};
+    log.save(os);
+  }
+  const auto config = small_config();
+  const std::string in_memory_path = temp_path("out_of_order_in_memory.snap");
+  OracleSnapshot::build(log, config, geo.geo.get()).write(in_memory_path);
+  const std::string in_memory_bytes = read_file(in_memory_path);
+
+  serve::BuilderConfig builder;
+  builder.snapshot = config;
+  builder.geo = geo.geo.get();
+  builder.shard_budget_bytes = 2048;  // ~64 records per shard
+  for (const std::size_t jobs : {1, 4}) {
+    builder.jobs = jobs;
+    const std::string streamed_path = temp_path("out_of_order_streamed.snap");
+    const serve::BuildLedger ledger = serve::build_snapshot_file(log_path, streamed_path, builder);
+    EXPECT_GE(ledger.shards, 3u);
+    EXPECT_EQ(ledger.records_folded, log.size());
+    EXPECT_EQ(read_file(streamed_path), in_memory_bytes) << "jobs " << jobs;
+    std::remove(streamed_path.c_str());
+  }
+  std::remove(log_path.c_str());
+  std::remove(in_memory_path.c_str());
+}
+
+TEST(SnapshotBuilder, FailedBuildRemovesItsSpills) {
+  const probe::RecordLog log = make_log({kBlockA, kBlockB, kBlockC}, 4, 12);
+  const std::string log_path = temp_path("failed_build.records");
+  {
+    std::ofstream os{log_path, std::ios::binary | std::ios::trunc};
+    log.save(os);
+  }
+  const std::string dir = testing::TempDir();
+  const std::string stem = "snapshot_test_failed_build.";
+  serve::BuilderConfig builder;
+  builder.snapshot = small_config();
+  builder.shard_budget_bytes = 2048;  // several shards, each with its spills
+  builder.temp_prefix = dir + stem;
+  // The output's directory does not exist, so the build throws at its last
+  // step, once every shard has been spilled and folded.
+  const std::string out_path = dir + "snapshot_test_no_such_dir/out.snap";
+  EXPECT_THROW(serve::build_snapshot_file(log_path, out_path, builder), std::runtime_error);
+  for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+    EXPECT_FALSE(entry.path().filename().string().starts_with(stem + "shard")) << entry.path();
+  }
+  std::remove(log_path.c_str());
 }
 
 TEST(SnapshotBuilder, LedgerCountsDetectablyCorruptRecords) {
