@@ -1,6 +1,7 @@
 #include "analysis/dataset.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/check.h"
@@ -43,18 +44,63 @@ void sort_requests(std::span<Request> requests, std::span<double> rtts_s,
 
 }  // namespace
 
+std::size_t SurveyDataset::Index::home(std::uint32_t address) const {
+  return static_cast<std::size_t>((std::uint64_t{address} * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+void SurveyDataset::Index::grow() {
+  const std::size_t capacity = std::max<std::size_t>(16, 2 * slots_.size());
+  const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+  shift_ = 64 - std::countr_zero(capacity);
+  const std::size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.number == kNone) continue;
+    std::size_t i = home(slot.address);
+    while (slots_[i].number != kNone) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+std::pair<std::uint32_t, bool> SurveyDataset::Index::try_emplace(std::uint32_t address,
+                                                                 std::uint32_t next) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(address);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.number == kNone) {
+      slot = Slot{address, next};
+      ++size_;
+      return {next, true};
+    }
+    if (slot.address == address) return {slot.number, false};
+  }
+}
+
+std::uint32_t SurveyDataset::Index::find(std::uint32_t address) const {
+  if (slots_.empty()) return kNone;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(address);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.number == kNone || slot.address == address) return slot.number;
+  }
+}
+
 SurveyDataset SurveyDataset::from_log(const probe::RecordLog& log) {
   return from_records([&log](const auto& visit) {
     for (const probe::SurveyRecord& record : log.records()) visit(record);
   });
 }
 
-// First pass: number the addresses in order of first appearance and count
-// each one's requests, matched RTTs and unmatched responses.
+// First pass: number the addresses in order of first appearance, count
+// each one's requests, matched RTTs and unmatched responses, and mark the
+// ones that answered for a timeline.
 void SurveyDataset::count(const probe::SurveyRecord& record, std::vector<Fill>& fills) {
-  const auto [it, inserted] = index_.try_emplace(record.address.value(), fills.size());
+  TURTLE_CHECK_LT(fills.size(), Index::kNone);
+  const auto [number, inserted] =
+      index_.try_emplace(record.address.value(), static_cast<std::uint32_t>(fills.size()));
   if (inserted) fills.push_back(Fill{record.address});
-  Fill& fill = fills[it->second];
+  Fill& fill = fills[number];
+  if (answered(record.type)) fill.timeline = 0;  // numbered by allocate()
   if (record.type == probe::RecordType::kUnmatched) {
     ++fill.unmatched;
   } else {
@@ -63,13 +109,18 @@ void SurveyDataset::count(const probe::SurveyRecord& record, std::vector<Fill>& 
   }
 }
 
-// Between the passes: allocate each array once, at its final size, lay the
-// timelines' runs end to end, and point each fill at its run's first slots.
+// Between the passes: number the answering addresses' timelines, allocate
+// each array once, at its final size, lay their runs end to end, and point
+// each fill at its run's first slots. A silent address gets no timeline
+// and no slots.
 void SurveyDataset::allocate(std::vector<Fill>& fills) {
   std::size_t requests = 0;
   std::size_t rtts = 0;
   std::size_t unmatched = 0;
-  for (const Fill& fill : fills) {
+  std::uint32_t timelines = 0;
+  for (Fill& fill : fills) {
+    if (fill.timeline == kNoTimeline) continue;
+    fill.timeline = timelines++;
     requests += fill.requests;
     rtts += fill.rtts;
     unmatched += fill.unmatched;
@@ -78,9 +129,10 @@ void SurveyDataset::allocate(std::vector<Fill>& fills) {
   rtts_s_.resize(rtts);
   unmatched_.resize(unmatched);
 
-  timelines_.reserve(fills.size());
+  timelines_.reserve(timelines);
   requests = rtts = unmatched = 0;
   for (Fill& fill : fills) {
+    if (fill.timeline == kNoTimeline) continue;
     const Fill counted = fill;
     timelines_.push_back(AddressTimeline{
         counted.address,
@@ -97,13 +149,20 @@ void SurveyDataset::allocate(std::vector<Fill>& fills) {
   }
 }
 
-// Second pass: each record goes to the next free slot of its timeline's run.
-// The checks keep a source that changed between the passes inside the
-// arrays; finish() then reports it.
+// Second pass: each record goes to the next free slot of its timeline's run;
+// a silent address's record goes nowhere but is counted down. The checks
+// keep a source that changed between the passes inside the arrays; finish()
+// then reports it.
 void SurveyDataset::place(const probe::SurveyRecord& record, std::vector<Fill>& fills) {
-  const auto it = index_.find(record.address.value());
-  TURTLE_CHECK(it != index_.end()) << "record source changed between grouping's passes";
-  Fill& fill = fills[it->second];
+  const std::uint32_t number = index_.find(record.address.value());
+  TURTLE_CHECK(number != Index::kNone) << "record source changed between grouping's passes";
+  Fill& fill = fills[number];
+  if (fill.timeline == kNoTimeline) {
+    TURTLE_CHECK(!answered(record.type) && fill.requests > 0)
+        << "record source changed between grouping's passes";
+    --fill.requests;
+    return;
+  }
   const double time_s = record.probe_time.as_seconds();
   RequestState state = RequestState::kError;
   switch (record.type) {
@@ -128,9 +187,12 @@ void SurveyDataset::place(const probe::SurveyRecord& record, std::vector<Fill>& 
 
 void SurveyDataset::finish(const std::vector<Fill>& fills) {
   std::vector<std::pair<Request, double>> scratch;  // reused across timelines
-  for (std::size_t i = 0; i < timelines_.size(); ++i) {
-    const AddressTimeline& tl = timelines_[i];
-    const Fill& fill = fills[i];
+  for (const Fill& fill : fills) {
+    if (fill.timeline == kNoTimeline) {
+      TURTLE_CHECK(fill.requests == 0) << "record source changed between grouping's passes";
+      continue;
+    }
+    const AddressTimeline& tl = timelines_[fill.timeline];
     TURTLE_CHECK(fill.requests == end_index(requests_, tl.requests) &&
                  fill.rtts == end_index(rtts_s_, tl.rtts_s) &&
                  fill.unmatched == end_index(unmatched_, tl.unmatched))
@@ -152,12 +214,17 @@ void SurveyDataset::finish(const std::vector<Fill>& fills) {
       std::stable_sort(unmatched.begin(), unmatched.end(), kByTime);
     }
   }
+
+  // The index now names timelines, and a silent address has none.
+  index_ = Index{};
+  for (std::uint32_t i = 0; i < timelines_.size(); ++i) {
+    index_.try_emplace(timelines_[i].address.value(), i);
+  }
 }
 
 const AddressTimeline* SurveyDataset::find(net::Ipv4Address addr) const {
-  const auto it = index_.find(addr.value());
-  if (it == index_.end()) return nullptr;
-  return &timelines_[it->second];
+  const std::uint32_t timeline = index_.find(addr.value());
+  return timeline == Index::kNone ? nullptr : &timelines_[timeline];
 }
 
 }  // namespace turtle::analysis

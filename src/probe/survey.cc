@@ -145,14 +145,14 @@ void SurveyProber::expire_probe(net::Ipv4Address target, SimTime sent_at,
 }
 
 void SurveyProber::evict_excess_pending() {
-  while (!pending_fifo_.empty()) {
-    const auto [addr, sent] = pending_fifo_.front();
+  while (pending_fifo_head_ < pending_fifo_.size()) {
+    const auto [addr, sent] = pending_fifo_[pending_fifo_head_];
     const PendingTable::Entry* probe = outstanding_.find(addr);
     // Stale shadow entry: the probe already matched, errored or expired.
     // Eviction would skip it, so dropping it now changes no eviction.
     const bool stale = probe == nullptr || probe->send_time != sent;
-    if (!stale && outstanding_.size() <= config_.max_pending) return;
-    pending_fifo_.pop_front();
+    if (!stale && outstanding_.size() <= config_.max_pending) break;
+    ++pending_fifo_head_;
     if (stale) continue;
     fault_counter(pending_evicted_, "fault.survey.pending_evicted").inc();
     timeouts_->inc();
@@ -163,6 +163,11 @@ void SurveyProber::evict_excess_pending() {
     rec.round = probe->round;
     log_.append(rec);
     outstanding_.erase(probe);
+  }
+  if (pending_fifo_head_ > pending_fifo_.size() / 2) {
+    pending_fifo_.erase(pending_fifo_.begin(),
+                        pending_fifo_.begin() + static_cast<std::ptrdiff_t>(pending_fifo_head_));
+    pending_fifo_head_ = 0;
   }
 }
 
@@ -227,6 +232,7 @@ void SurveyProber::crash(SimTime restart_delay) {
   outstanding_.clear();
   last_unmatched_.clear();
   pending_fifo_.clear();
+  pending_fifo_head_ = 0;
   const std::uint64_t epoch = epoch_;
   sim_.schedule_after(restart_delay, [this, epoch] {
     if (epoch != epoch_) return;

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -101,7 +100,9 @@ class SurveyProber : public sim::PacketSink {
   }
   /// Entries in the eviction FIFO. Settled probes leave it as soon as they
   /// reach its front, so it holds about one match_timeout of probes.
-  [[nodiscard]] std::size_t pending_fifo_size() const { return pending_fifo_.size(); }
+  [[nodiscard]] std::size_t pending_fifo_size() const {
+    return pending_fifo_.size() - pending_fifo_head_;
+  }
   /// Fraction of probes matched within the timeout — the "response rate"
   /// the paper reports per survey (Figure 9's bottom panel), immune to
   /// duplicate floods inflating the raw response count.
@@ -159,7 +160,11 @@ class SurveyProber : public sim::PacketSink {
   /// deterministic eviction order for max_pending. Entries go stale when a
   /// probe is matched, errored or expired; each push pops the stale ones
   /// off the front, so the FIFO spans one match_timeout, not the survey.
-  std::deque<std::pair<std::uint32_t, SimTime>> pending_fifo_;
+  /// Its front is pending_fifo_[pending_fifo_head_]: a pop advances the
+  /// head, and the popped prefix is erased once it passes half the vector,
+  /// so the buffer settles at its working size and allocates no more.
+  std::vector<std::pair<std::uint32_t, SimTime>> pending_fifo_;
+  std::size_t pending_fifo_head_ = 0;
   /// Bumped by crash(): every scheduled lambda captures the epoch it was
   /// created under and no-ops if the prober crashed since.
   std::uint64_t epoch_ = 0;

@@ -1,6 +1,7 @@
 #include "serve/snapshot_builder.h"
 
 #include <algorithm>
+#include <bitset>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -45,6 +46,13 @@ void fold(Aggregate& aggregate, double rtt_s) {
   for (core::P2Quantile& quantile : aggregate.quantiles) quantile.add(rtt_s);
   ++aggregate.samples;
 }
+
+/// Pass A's tally of one /24 network: its records, and which of its
+/// addresses answered (analysis::answered), by last octet.
+struct NetworkTally {
+  std::uint64_t records = 0;
+  std::bitset<256> answered;
+};
 
 /// Contiguous ascending /24 range assigned to one shard.
 struct ShardRange {
@@ -238,11 +246,12 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
 
   BuildLedger ledger;
 
-  // Pass A: one streaming scan — records per /24 network, tolerant-loader
-  // accounting. Memory: one counter per distinct block, same order as the
-  // final index itself. The counts go into a hash map, one lookup per
-  // record, and are sorted by network once at the end.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> records_per_network;
+  // Pass A: one streaming scan — records per /24 network, the addresses
+  // that answered, tolerant-loader accounting. Memory: one tally per
+  // distinct block (a counter and a 256-bit mask), same order as the final
+  // index itself. The tallies go into a hash map, one lookup per record;
+  // the plan sorts them by network once.
+  std::unordered_map<std::uint32_t, NetworkTally> networks;
   {
     std::ifstream is = open_in(log_path);
     is.seekg(0, std::ios_base::end);
@@ -250,11 +259,11 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
     is.seekg(0);
     probe::RecordReader reader{is};
     probe::SurveyRecord record;
-    std::unordered_map<std::uint32_t, std::uint64_t> counts;
     while (reader.next(record)) {
-      ++counts[net::Prefix24::containing(record.address).network()];
+      NetworkTally& tally = networks[net::Prefix24::containing(record.address).network()];
+      ++tally.records;
+      if (analysis::answered(record.type)) tally.answered.set(record.address.last_octet());
     }
-    records_per_network = util::ordered(counts);
     const probe::RecordLog::LoadStats& stats = reader.stats();
     ledger.records_in = stats.records_loaded + stats.records_skipped + stats.records_truncated;
     ledger.records_folded = stats.records_loaded;
@@ -276,12 +285,12 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
   {
     ShardRange current;
     bool open = false;
-    for (const auto& [network, count] : records_per_network) {
+    for (const auto& [network, tally] : util::ordered(networks)) {
       if (!open) {
         current = ShardRange{network, 0};
         open = true;
       }
-      current.records += count;
+      current.records += tally.records;
       if (current.records >= per_shard_records) {
         shards.push_back(current);
         open = false;
@@ -299,7 +308,10 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
   for (std::size_t i = 0; i < shards.size(); ++i) paths.push_back(spill_paths(prefix, i));
   const SpillCleanup cleanup{paths};
 
-  // Pass B: partition the log into per-shard record spills, streaming.
+  // Pass B: partition the log into per-shard record spills, streaming. A
+  // record of an address that never answered is not spilled: grouping
+  // would leave it out of the shard's dataset anyway. Its /24 still counted
+  // in the plan, so a shard may spill no record at all.
   {
     std::vector<std::ofstream> streams;
     std::vector<probe::RecordWriter> writers;
@@ -318,6 +330,11 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
     probe::SurveyRecord record;
     while (reader.next(record)) {
       const std::uint32_t network = net::Prefix24::containing(record.address).network();
+      const auto tally = networks.find(network);
+      if (tally == networks.end()) {
+        throw std::runtime_error("snapshot builder: record log changed between passes");
+      }
+      if (!tally->second.answered.test(record.address.last_octet())) continue;
       const auto it = std::upper_bound(firsts.begin(), firsts.end(), network);
       const auto shard = static_cast<std::size_t>(it == firsts.begin() ? 0 : (it - firsts.begin() - 1));
       writers[shard].append(record);

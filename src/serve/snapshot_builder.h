@@ -7,16 +7,20 @@
 // external-merge alternative:
 //
 //   pass A  stream the log once (tolerant RecordReader, one fixed read
-//           block) counting records per /24 network in a hash map, sort
-//           the counts by network once, then cut the sorted network space
-//           into contiguous shards of ~shard_budget_bytes of log each — a
+//           block) tallying per /24 network in a hash map its records and
+//           which of its addresses answered (analysis::answered: a matched
+//           or an unmatched response), sort the tallies by network once,
+//           then cut the sorted network space into contiguous shards of
+//           ~shard_budget_bytes of log each, counting every record — a
 //           pure function of the log and the budget, never of --jobs;
-//   pass B  stream the log again, appending each record to its shard's
-//           spill file (records are partitioned by their address's /24,
-//           so each address's full history lands in exactly one shard —
-//           the analysis pipeline is address-local, which makes a
-//           per-shard pipeline run equal the global run restricted to
-//           the shard);
+//   pass B  stream the log again, appending each record of an address
+//           that answered to its shard's spill file (records are
+//           partitioned by their address's /24, so each address's full
+//           history lands in exactly one shard — the analysis pipeline is
+//           address-local, which makes a per-shard pipeline run equal the
+//           global run restricted to the shard). An address that never
+//           answered is left out, as grouping would leave it out of the
+//           dataset, so a shard whose /24s never answered spills nothing;
 //   pass C  fold shards in parallel on a util::ThreadPool: group the
 //           shard into a SurveyDataset by reading its spill twice (count,
 //           then place; the shard's records are never loaded), run the
@@ -33,12 +37,13 @@
 //           Table 2 matrix, and stream everything through
 //           snapshot_format::Writer.
 //
-// Peak memory is O(shard's dataset) per job + O(distinct ASes) +
-// O(addresses × percentiles) for the matrix columns — each a small
-// fraction of the log (a record is 32 bytes on disk, a grouped request 16
-// plus 8 for a matched RTT, and an address contributes many records),
-// which is the bound the snapshot-smoke CI job enforces with a hard RSS
-// cap.
+// Peak memory is O(shard's answering dataset) per job + O(distinct ASes)
+// + O(/24 networks) for pass A's tallies (a counter and a 256-bit mask
+// each) + O(answering addresses × percentiles) for the matrix columns —
+// each a small fraction of the log (a record is 32 bytes on disk, a
+// grouped request 16 plus 8 for a matched RTT, an address contributes many
+// records, and one that never answered costs nothing past pass A), which
+// is the bound the snapshot-smoke CI job enforces with a hard RSS cap.
 //
 // Determinism: the shard plan ignores --jobs, shard folds share no state,
 // and the merge walks shards in index order — so the output file is

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,15 @@ probe::SurveyRecord matched(net::Ipv4Address addr, double t_s, double rtt_s,
 probe::SurveyRecord timeout(net::Ipv4Address addr, double t_s, std::uint32_t round) {
   probe::SurveyRecord r;
   r.type = probe::RecordType::kTimeout;
+  r.address = addr;
+  r.probe_time = SimTime::from_seconds(t_s).truncate_to_seconds();
+  r.round = round;
+  return r;
+}
+
+probe::SurveyRecord error(net::Ipv4Address addr, double t_s, std::uint32_t round) {
+  probe::SurveyRecord r;
+  r.type = probe::RecordType::kError;
   r.address = addr;
   r.probe_time = SimTime::from_seconds(t_s).truncate_to_seconds();
   r.round = round;
@@ -132,9 +142,63 @@ TEST(SurveyDataset, MovesEachRttWithItsRequest) {
   EXPECT_DOUBLE_EQ(result.addresses[0].rtts_s[1], 0.05);
 }
 
+TEST(SurveyDataset, LeavesOutAddressesThatNeverAnswered) {
+  const net::Ipv4Address silent = net::Ipv4Address::from_octets(10, 0, 0, 7);
+  const net::Ipv4Address unmatched_only = net::Ipv4Address::from_octets(10, 0, 0, 8);
+  const net::Ipv4Address one_match = net::Ipv4Address::from_octets(10, 0, 0, 9);
+  probe::RecordLog log;
+  for (std::uint32_t round = 0; round < 6; ++round) {
+    const double t = round * 660.0;
+    log.append(matched(kAddr, t, 0.1, round));
+    log.append(round % 2 == 0 ? timeout(silent, t + 1, round) : error(silent, t + 1, round));
+    log.append(unmatched(unmatched_only, t + 2));
+    log.append(round == 3 ? matched(one_match, t + 3, 0.2, round)
+                          : timeout(one_match, t + 3, round));
+  }
+
+  const auto ds = SurveyDataset::from_log(log);
+  EXPECT_EQ(ds.find(silent), nullptr);
+  ASSERT_EQ(ds.address_count(), 3u);
+  EXPECT_EQ(ds.timelines().capacity(), ds.timelines().size());
+  EXPECT_EQ(ds.timelines()[0].address, kAddr);
+  EXPECT_EQ(ds.timelines()[1].address, unmatched_only);
+  EXPECT_EQ(ds.timelines()[2].address, one_match);
+  for (std::size_t i = 0; i < ds.timelines().size(); ++i) {
+    EXPECT_EQ(ds.find(ds.timelines()[i].address), &ds.timelines()[i]);
+  }
+  EXPECT_TRUE(ds.find(unmatched_only)->requests.empty());
+  EXPECT_EQ(ds.find(unmatched_only)->unmatched.size(), 6u);
+  EXPECT_EQ(ds.find(one_match)->requests.size(), 6u);
+  EXPECT_EQ(ds.find(one_match)->rtts_s.size(), 1u);
+  // The silent address sits between the others in first-appearance order,
+  // yet the runs tile each array with no room left for it.
+  expect_runs_tile_arrays(ds);
+}
+
+TEST(SurveyDatasetDeathTest, SourceChangingBetweenPassesDies) {
+  // The count pass sees only a timeout from kOther, so it gets no timeline;
+  // the place pass is handed a matched record for it instead.
+  auto source = [passes = 0](const auto& visit) mutable {
+    visit(matched(kAddr, 0, 0.1, 0));
+    visit(passes++ == 0 ? timeout(kOther, 1, 0) : matched(kOther, 1, 0.1, 0));
+  };
+  EXPECT_DEATH((void)SurveyDataset::from_records(source),
+               "record source changed between grouping's passes");
+
+  // An address the count pass never saw has no index entry to place into.
+  auto grows = [passes = 0](const auto& visit) mutable {
+    visit(matched(kAddr, 0, 0.1, 0));
+    if (passes++ > 0) visit(timeout(kOther, 1, 0));
+  };
+  EXPECT_DEATH((void)SurveyDataset::from_records(grows),
+               "record source changed between grouping's passes");
+}
+
 /// The grouping SurveyDataset's flat arrays replaced, kept as a model:
 /// per-address vectors in order of first appearance, each stable-sorted by
-/// time, with a matched request's RTT stored in the request itself.
+/// time, with a matched request's RTT stored in the request itself, and
+/// no timeline for an address with neither a matched request nor an
+/// unmatched response.
 struct ModelRequest {
   Request request;
   double rtt_s = 0;
@@ -178,6 +242,12 @@ std::vector<ModelTimeline> model_grouping(const probe::RecordLog& log) {
                        return a.time_s < b.time_s;
                      });
   }
+  std::erase_if(timelines, [](const ModelTimeline& tl) {
+    return tl.unmatched.empty() &&
+           std::none_of(tl.requests.begin(), tl.requests.end(), [](const ModelRequest& r) {
+             return r.request.state == RequestState::kMatched;
+           });
+  });
   return timelines;
 }
 
@@ -219,10 +289,22 @@ probe::RecordLog random_log(util::Prng& rng, bool in_order) {
 
 TEST(SurveyDataset, MatchesPerAddressVectorModel) {
   util::Prng rng{2015};
+  std::size_t silent = 0;  // addresses the model dropped, over all trials
   for (int trial = 0; trial < 400; ++trial) {
     const probe::RecordLog log = random_log(rng, trial % 4 == 0);
     const auto ds = SurveyDataset::from_log(log);
     const std::vector<ModelTimeline> model = model_grouping(log);
+    std::unordered_set<std::uint32_t> addresses;
+    for (const probe::SurveyRecord& rec : log.records()) addresses.insert(rec.address.value());
+    silent += addresses.size() - model.size();
+    for (const std::uint32_t addr : addresses) {
+      const bool kept = std::any_of(model.begin(), model.end(), [addr](const ModelTimeline& tl) {
+        return tl.address.value() == addr;
+      });
+      if (!kept) {
+        EXPECT_EQ(ds.find(net::Ipv4Address{addr}), nullptr) << "trial " << trial;
+      }
+    }
     ASSERT_EQ(ds.address_count(), model.size()) << "trial " << trial;
     for (std::size_t i = 0; i < model.size(); ++i) {
       const AddressTimeline& tl = ds.timelines()[i];
@@ -249,6 +331,7 @@ TEST(SurveyDataset, MatchesPerAddressVectorModel) {
     }
     expect_runs_tile_arrays(ds);
   }
+  EXPECT_GT(silent, 0u) << "no trial had a silent address; the model's drop is untested";
 }
 
 TEST(Pipeline, SurveyDetectedOnly) {

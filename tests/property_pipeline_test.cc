@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "analysis/dataset.h"
 #include "analysis/pipeline.h"
@@ -57,6 +59,34 @@ probe::RecordLog random_log(std::uint64_t seed, int addresses, int rounds) {
             [](const Pending& x, const Pending& y) { return x.emit_time < y.emit_time; });
   for (auto& p : pending) log.append(p.rec);
   return log;
+}
+
+/// `log` with the records of addresses that never answer (timeouts and
+/// ICMP errors only) interleaved: after most records of `log`, one record
+/// of one of 50 silent addresses, stamped with that record's second.
+probe::RecordLog with_silent_addresses(const probe::RecordLog& log, std::uint64_t seed) {
+  util::Prng rng{seed};
+  probe::RecordLog out;
+  for (const probe::SurveyRecord& rec : log.records()) {
+    out.append(rec);
+    if (!rng.bernoulli(0.7)) continue;
+    probe::SurveyRecord silent;
+    silent.type = rng.bernoulli(0.8) ? probe::RecordType::kTimeout : probe::RecordType::kError;
+    silent.address =
+        net::Ipv4Address{0x0A010000u + static_cast<std::uint32_t>(rng.uniform_int(50))};
+    silent.probe_time = rec.probe_time.truncate_to_seconds();
+    silent.round = rec.round;
+    out.append(silent);
+  }
+  return out;
+}
+
+/// Every Table 1 counter, dropped packets included.
+std::vector<std::uint64_t> counter_values(const PipelineCounters& c) {
+  return {c.survey_detected_packets, c.survey_detected_addresses, c.naive_packets,
+          c.naive_addresses,         c.broadcast_packets,         c.broadcast_addresses,
+          c.duplicate_packets,       c.duplicate_addresses,       c.combined_packets,
+          c.combined_addresses,      c.dropped_packets};
 }
 
 class PipelineProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -135,14 +165,7 @@ TEST_P(PipelineProperty, DeterministicAcrossRuns) {
   // The pipeline leaves its dataset as it found it: a second run on ds1
   // agrees with the first on every counter, address and sample.
   const auto again = run_pipeline(ds1, {});
-  const auto counters = [](const PipelineCounters& c) {
-    return std::vector<std::uint64_t>{
-        c.survey_detected_packets, c.survey_detected_addresses, c.naive_packets,
-        c.naive_addresses,         c.broadcast_packets,         c.broadcast_addresses,
-        c.duplicate_packets,       c.duplicate_addresses,       c.combined_packets,
-        c.combined_addresses,      c.dropped_packets};
-  };
-  EXPECT_EQ(counters(again.counters), counters(r1.counters));
+  EXPECT_EQ(counter_values(again.counters), counter_values(r1.counters));
   ASSERT_EQ(again.addresses.size(), r1.addresses.size());
   for (std::size_t i = 0; i < r1.addresses.size(); ++i) {
     EXPECT_EQ(again.addresses[i].address, r1.addresses[i].address);
@@ -150,6 +173,38 @@ TEST_P(PipelineProperty, DeterministicAcrossRuns) {
   }
   EXPECT_EQ(again.broadcast_flagged, r1.broadcast_flagged);
   EXPECT_EQ(again.duplicate_flagged, r1.duplicate_flagged);
+}
+
+TEST_P(PipelineProperty, AddressesThatNeverAnsweredChangeNothing) {
+  const auto log = random_log(GetParam() ^ 0x5150, 30, 20);
+  const auto noisy = with_silent_addresses(log, GetParam());
+  ASSERT_GT(noisy.size(), log.size());
+  const auto ds = SurveyDataset::from_log(log);
+  const auto noisy_ds = SurveyDataset::from_log(noisy);
+  EXPECT_EQ(noisy_ds.address_count(), ds.address_count());
+
+  PipelineConfig unfiltered;
+  unfiltered.filter_broadcast = false;
+  unfiltered.filter_duplicates = false;
+  for (const PipelineConfig& config : {PipelineConfig{}, unfiltered}) {
+    const auto want = run_pipeline(ds, config);
+    const auto got = run_pipeline(noisy_ds, config);
+    EXPECT_EQ(counter_values(got.counters), counter_values(want.counters));
+    EXPECT_EQ(got.broadcast_flagged, want.broadcast_flagged);
+    EXPECT_EQ(got.duplicate_flagged, want.duplicate_flagged);
+    ASSERT_EQ(got.addresses.size(), want.addresses.size());
+    for (std::size_t i = 0; i < want.addresses.size(); ++i) {
+      const AddressReport& a = got.addresses[i];
+      const AddressReport& b = want.addresses[i];
+      EXPECT_EQ(a.address, b.address);
+      EXPECT_EQ(a.rtts_s, b.rtts_s);
+      EXPECT_EQ(a.survey_detected, b.survey_detected);
+      EXPECT_EQ(a.delayed, b.delayed);
+      EXPECT_EQ(a.requests, b.requests);
+      EXPECT_EQ(a.timeouts, b.timeouts);
+      EXPECT_EQ(a.max_responses_single_request, b.max_responses_single_request);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,

@@ -1,8 +1,9 @@
 // snapshot-v1 on-disk format: write/map round trip, the tiers against
 // P2Quantiles folded in the test, corruption rejection (counted, graceful),
 // streaming builder byte-identity with the in-memory serializer across
-// --jobs (on a log grouping must re-sort too), the build ledger, spill
-// cleanup after a failed build, and snapshot-file crash recovery.
+// --jobs (on a log grouping must re-sort too, and on one with addresses
+// that never answered), the build ledger, spill cleanup after a failed
+// build, and snapshot-file crash recovery.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -457,6 +458,74 @@ TEST(SnapshotBuilder, StreamingBuildOfOutOfOrderLogIsByteIdentical) {
   }
   std::remove(log_path.c_str());
   std::remove(in_memory_path.c_str());
+}
+
+TEST(SnapshotBuilder, AddressesThatNeverAnsweredChangeNoByte) {
+  TestGeo geo;
+  const std::vector<net::Prefix24> blocks = six_blocks();
+  const probe::RecordLog answering = make_log(blocks, 4, 12);
+  // Two /24s whose addresses never answer, between answering ones in
+  // network order.
+  const std::vector<net::Prefix24> dark = {
+      net::Prefix24::containing(net::Ipv4Address::from_octets(10, 0, 3, 0)),
+      net::Prefix24::containing(net::Ipv4Address::from_octets(10, 0, 4, 0)),
+  };
+  // After each round of answers: timeouts and errors from three silent
+  // addresses of every answering /24 and eight of every dark one.
+  const std::size_t per_round = blocks.size() * 4;
+  probe::RecordLog log;
+  for (std::size_t i = 0; i < answering.size(); ++i) {
+    log.append(answering.at(i));
+    if ((i + 1) % per_round != 0) continue;
+    const std::uint32_t round = answering.at(i).round;
+    const auto silent = [&](const net::Prefix24& block, int addresses) {
+      for (int a = 0; a < addresses; ++a) {
+        probe::SurveyRecord record;
+        record.type = a % 3 == 2 ? probe::RecordType::kError : probe::RecordType::kTimeout;
+        record.address = block.address(static_cast<std::uint8_t>(100 + a));
+        record.probe_time = SimTime::seconds(round * 660 + 100);
+        record.round = round;
+        log.append(record);
+      }
+    };
+    for (const net::Prefix24& block : blocks) silent(block, 3);
+    for (const net::Prefix24& block : dark) silent(block, 8);
+  }
+
+  const std::string log_path = temp_path("silent.records");
+  {
+    std::ofstream os{log_path, std::ios::binary | std::ios::trunc};
+    log.save(os);
+  }
+  const auto config = small_config();
+  const std::string in_memory_path = temp_path("silent_in_memory.snap");
+  OracleSnapshot::build(log, config, geo.geo.get()).write(in_memory_path);
+  const std::string in_memory_bytes = read_file(in_memory_path);
+  // The silent addresses change no byte of the in-memory build either.
+  const std::string answering_path = temp_path("silent_answering_only.snap");
+  OracleSnapshot::build(answering, config, geo.geo.get()).write(answering_path);
+  EXPECT_EQ(read_file(answering_path), in_memory_bytes);
+
+  serve::BuilderConfig builder;
+  builder.snapshot = config;
+  builder.geo = geo.geo.get();
+  builder.shard_budget_bytes = 2048;  // ~64 records per shard
+  for (const std::size_t jobs : {1, 4}) {
+    builder.jobs = jobs;
+    const std::string streamed_path = temp_path("silent_streamed.snap");
+    const serve::BuildLedger ledger = serve::build_snapshot_file(log_path, streamed_path, builder);
+    // Every /24 holds more than a shard's worth of records (84 for an
+    // answering one, 96 for a dark one), so each is a shard of its own,
+    // and the two dark shards spill no record.
+    EXPECT_EQ(ledger.shards, blocks.size() + dark.size());
+    EXPECT_EQ(ledger.records_in, log.size());
+    EXPECT_EQ(ledger.records_folded, log.size());
+    EXPECT_EQ(read_file(streamed_path), in_memory_bytes) << "jobs " << jobs;
+    std::remove(streamed_path.c_str());
+  }
+  for (const std::string& path : {log_path, in_memory_path, answering_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(SnapshotBuilder, FailedBuildRemovesItsSpills) {
