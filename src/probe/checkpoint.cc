@@ -41,6 +41,12 @@ T take(const std::string& in, std::size_t& pos) {
 
 std::string SurveyCheckpoint::to_bytes() const {
   std::string out;
+  write_bytes(log, out);
+  return out;
+}
+
+void SurveyCheckpoint::write_bytes(const RecordLog& records, std::string& out) const {
+  out.clear();
   out.append(kMagic.data(), kMagic.size());
   put(out, kVersion);
   put(out, round);
@@ -52,10 +58,7 @@ std::string SurveyCheckpoint::to_bytes() const {
     put(out, p.round);
     put(out, p.send_time.as_micros());
   }
-  std::ostringstream log_bytes;
-  log.save(log_bytes);
-  out += log_bytes.str();
-  return out;
+  records.save(out);
 }
 
 SurveyCheckpoint SurveyCheckpoint::from_bytes(const std::string& bytes) {

@@ -50,6 +50,12 @@ struct SurveyCheckpoint {
   /// bad resume point).
   [[nodiscard]] std::string to_bytes() const;
   static SurveyCheckpoint from_bytes(const std::string& bytes);
+
+  /// The bytes to_bytes() would give with `records` in place of `log`,
+  /// written over `out`'s contents into its buffer. The prober checkpoints
+  /// its live log this way: no record is copied, and every boundary of a
+  /// survey reuses one buffer.
+  void write_bytes(const RecordLog& records, std::string& out) const;
 };
 
 }  // namespace turtle::probe

@@ -12,10 +12,22 @@ namespace turtle::probe {
 
 std::uint64_t RecordLog::count_of(RecordType type) const {
   std::uint64_t n = 0;
-  for (const SurveyRecord& r : records_) {
+  for (const SurveyRecord& r : records()) {
     if (r.type == type) ++n;
   }
   return n;
+}
+
+void RecordLog::add_count(std::size_t i, std::uint32_t n) {
+  TURTLE_DCHECK_LT(i, slots_.size());
+  Slot& slot = slots_[i];
+  if ((slot.lo & kWideBit) != 0) {
+    wide_[slot.hi].count += n;
+    return;
+  }
+  SurveyRecord record = unpack(slot);
+  record.count += n;
+  slot = pack(record);
 }
 
 namespace {
@@ -48,10 +60,17 @@ T get(std::istream& is) {
   return value;
 }
 
+/// Writes the 16 header bytes at `bytes`.
+void encode_header(std::uint64_t count, unsigned char* bytes) {
+  std::memcpy(bytes, kMagic.data(), kMagic.size());
+  std::memcpy(bytes + 4, &kVersion, sizeof kVersion);
+  std::memcpy(bytes + 8, &count, sizeof count);
+}
+
 void put_header(std::ostream& os, std::uint64_t count) {
-  os.write(kMagic.data(), kMagic.size());
-  put(os, kVersion);
-  put(os, count);
+  std::array<unsigned char, RecordLog::kHeaderBytes> bytes{};
+  encode_header(count, bytes.data());
+  os.write(reinterpret_cast<const char*>(bytes.data()), bytes.size());
 }
 
 /// Writes one record's 32 bytes at `bytes`: the inverse of
@@ -74,21 +93,40 @@ void put_records(std::ostream& os, const std::vector<unsigned char>& block, std:
            static_cast<std::streamsize>(records * RecordLog::kRecordBytes));
 }
 
-}  // namespace
-
-void RecordLog::save(std::ostream& os) const {
-  put_header(os, records_.size());
-  std::vector<unsigned char> block(kBlockRecords * kRecordBytes);
+/// Encodes the log's records a block at a time, handing each filled block
+/// and its record count to `sink`.
+template <typename Sink>
+void encode_blocks(const RecordLog& log, Sink&& sink) {
+  std::vector<unsigned char> block(kBlockRecords * RecordLog::kRecordBytes);
   std::size_t filled = 0;
-  for (const SurveyRecord& r : records_) {
-    encode_record(r, block.data() + filled * kRecordBytes);
+  for (const SurveyRecord& r : log.records()) {
+    encode_record(r, block.data() + filled * RecordLog::kRecordBytes);
     if (++filled == kBlockRecords) {
-      put_records(os, block, filled);
+      sink(block, filled);
       filled = 0;
     }
   }
-  put_records(os, block, filled);
+  sink(block, filled);
+}
+
+}  // namespace
+
+void RecordLog::save(std::ostream& os) const {
+  put_header(os, size());
+  encode_blocks(*this, [&os](const std::vector<unsigned char>& block, std::size_t records) {
+    put_records(os, block, records);
+  });
   if (!os) throw std::runtime_error("RecordLog::save: write failed");
+}
+
+void RecordLog::save(std::string& out) const {
+  out.reserve(out.size() + kHeaderBytes + size() * kRecordBytes);
+  std::array<unsigned char, kHeaderBytes> header{};
+  encode_header(size(), header.data());
+  out.append(reinterpret_cast<const char*>(header.data()), header.size());
+  encode_blocks(*this, [&out](const std::vector<unsigned char>& block, std::size_t records) {
+    out.append(reinterpret_cast<const char*>(block.data()), records * kRecordBytes);
+  });
 }
 
 bool RecordLog::record_is_loadable(const unsigned char* bytes, SurveyRecord* out) {
@@ -200,7 +238,7 @@ RecordLog RecordLog::load(std::istream& is, LoadStats* stats) {
   RecordReader reader{is};
   RecordLog log;
   SurveyRecord r;
-  while (reader.next(r)) log.records_.push_back(r);
+  while (reader.next(r)) log.append(r);
   if (stats != nullptr) *stats = reader.stats();
   return log;
 }

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -58,36 +60,110 @@ struct SurveyRecord {
 
 /// Append-only in-memory record log with binary (de)serialization.
 ///
-/// The records live in a deque, not a vector: a survey appends millions
+/// The log is a survey's largest structure, so it holds each record in 16
+/// bytes, half of a SurveyRecord (29 bytes of fields padded to 32). The
+/// packed form is private: records() and at() hand out SurveyRecord
+/// values. A slot is two 64-bit words:
+///   lo  address (bits 0-31), type (32-33), wide flag (34),
+///       probe time bits 0-28 (35-63)
+///   hi  probe time bits 29-42 (0-13), payload (14-63)
+/// The probe time is in µs (43 bits, about 101 days; a two-week survey
+/// ends near 1.2e12 µs). The 50-bit payload holds a kUnmatched record's
+/// count (its round and RTT are 0), or any other record's RTT in µs (26
+/// bits, about 67 s, against a 3 s match timeout) and round (24 bits; its
+/// count is 1). A record outside these ranges (a negative time, an RTT
+/// past 67 s under a minutes-long match timeout, a silently corrupt
+/// record that still loaded) is kept whole in a side vector; its slot
+/// holds only the wide flag and, in hi, its index there. Every value
+/// round-trips exactly.
+///
+/// The slots live in a deque, not a vector: a survey appends millions
 /// of them without knowing the final count (floods add records per
-/// probe), and a vector that outgrows its buffer copies every record into
+/// probe), and a vector that outgrows its buffer copies every slot into
 /// one twice the size, briefly holding both. A deque grows in fixed
-/// blocks, so the log peaks at its own size, and appending never moves a
-/// record: a reference from at() stays valid.
+/// blocks, so the log peaks at its own size.
 ///
 /// The binary format is a fixed 32-byte little-endian record, documented
 /// in records.cc; surveys of millions of probes stay loadable and the
 /// round-trip is exact.
 class RecordLog {
+  struct Slot {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+  };
+  static_assert(sizeof(Slot) == 16);
+
  public:
+  /// Forward iterator over the log, yielding each record by value: the
+  /// log stores no SurveyRecord to refer to.
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = SurveyRecord;
+    using reference = SurveyRecord;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    SurveyRecord operator*() const { return log_->unpack(*slot_); }
+    Iterator& operator++() {
+      ++slot_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++slot_;
+      return before;
+    }
+    bool operator==(const Iterator& other) const { return slot_ == other.slot_; }
+
+   private:
+    friend class RecordLog;
+    Iterator(const RecordLog* log, std::deque<Slot>::const_iterator slot)
+        : log_{log}, slot_{slot} {}
+
+    const RecordLog* log_ = nullptr;
+    std::deque<Slot>::const_iterator slot_;
+  };
+
+  /// The read-only range records() returns.
+  class Records {
+   public:
+    [[nodiscard]] Iterator begin() const { return begin_; }
+    [[nodiscard]] Iterator end() const { return end_; }
+
+   private:
+    friend class RecordLog;
+    Records(Iterator begin, Iterator end) : begin_{begin}, end_{end} {}
+
+    Iterator begin_;
+    Iterator end_;
+  };
+
   void append(const SurveyRecord& record) {
     TURTLE_DCHECK(is_valid_record_type(static_cast<std::uint8_t>(record.type)));
     TURTLE_DCHECK_GT(record.count, 0u) << "record coalescing zero responses";
     TURTLE_DCHECK(!record.rtt.is_negative());
-    records_.push_back(record);
+    slots_.push_back(pack(record));
   }
 
-  /// Mutable access for in-place coalescing by the prober.
-  [[nodiscard]] SurveyRecord& at(std::size_t i) {
-    TURTLE_DCHECK_LT(i, records_.size());
-    return records_[i];
+  /// Adds `n` to record i's count: the prober's in-place coalescing of
+  /// unmatched responses, and the log's only mutation.
+  void add_count(std::size_t i, std::uint32_t n);
+
+  /// Record i, by value.
+  [[nodiscard]] SurveyRecord at(std::size_t i) const {
+    TURTLE_DCHECK_LT(i, slots_.size());
+    return unpack(slots_[i]);
   }
-  [[nodiscard]] const SurveyRecord& at(std::size_t i) const {
-    TURTLE_DCHECK_LT(i, records_.size());
-    return records_[i];
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+
+  /// Every record in log order, each decoded on the fly. A range-for may
+  /// bind them to `const SurveyRecord&`, but a reference or pointer kept
+  /// past its iteration dangles: copy the record instead.
+  [[nodiscard]] Records records() const {
+    return Records{Iterator{this, slots_.begin()}, Iterator{this, slots_.end()}};
   }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] const std::deque<SurveyRecord>& records() const { return records_; }
 
   /// Counts by type (sanity checks and Table 1).
   [[nodiscard]] std::uint64_t count_of(RecordType type) const;
@@ -125,8 +201,66 @@ class RecordLog {
   void save(std::ostream& os) const;
   static RecordLog load(std::istream& is, LoadStats* stats = nullptr);
 
+  /// Appends the bytes save(std::ostream&) writes to `out`, with no
+  /// stream in between (the prober's checkpoints).
+  void save(std::string& out) const;
+
  private:
-  std::deque<SurveyRecord> records_;
+  static constexpr std::uint64_t kWideBit = std::uint64_t{1} << 34;
+  static constexpr int kLoTimeShift = 35;  ///< probe time bits 0-28 in lo
+  static constexpr int kLoTimeBits = 29;
+  static constexpr int kHiTimeBits = 14;  ///< probe time bits 29-42 in hi
+  static constexpr std::int64_t kTimeLimit = std::int64_t{1} << (kLoTimeBits + kHiTimeBits);
+  static constexpr int kRttBits = 26;
+  static constexpr std::int64_t kRttLimit = std::int64_t{1} << kRttBits;
+  static constexpr std::uint32_t kRoundLimit = std::uint32_t{1} << 24;
+
+  /// The slot for `record`; a record the narrow form cannot hold goes to
+  /// wide_ first.
+  Slot pack(const SurveyRecord& record) {
+    const std::int64_t time = record.probe_time.as_micros();
+    const std::int64_t rtt = record.rtt.as_micros();
+    bool narrow = is_valid_record_type(static_cast<std::uint8_t>(record.type)) && time >= 0 &&
+                  time < kTimeLimit;
+    std::uint64_t payload = record.count;
+    if (record.type == RecordType::kUnmatched) {
+      narrow = narrow && rtt == 0 && record.round == 0;
+    } else {
+      narrow = narrow && record.count == 1 && rtt >= 0 && rtt < kRttLimit &&
+               record.round < kRoundLimit;
+      payload = static_cast<std::uint64_t>(rtt) |
+                (static_cast<std::uint64_t>(record.round) << kRttBits);
+    }
+    if (!narrow) {
+      wide_.push_back(record);
+      return Slot{kWideBit, wide_.size() - 1};
+    }
+    const auto bits = static_cast<std::uint64_t>(time);
+    return Slot{record.address.value() | (static_cast<std::uint64_t>(record.type) << 32) |
+                    (bits << kLoTimeShift),
+                (bits >> kLoTimeBits) | (payload << kHiTimeBits)};
+  }
+
+  [[nodiscard]] SurveyRecord unpack(const Slot& slot) const {
+    if ((slot.lo & kWideBit) != 0) return wide_[slot.hi];
+    SurveyRecord record;
+    record.type = static_cast<RecordType>((slot.lo >> 32) & 3);
+    record.address = net::Ipv4Address{static_cast<std::uint32_t>(slot.lo)};
+    const std::uint64_t hi_time = slot.hi & ((std::uint64_t{1} << kHiTimeBits) - 1);
+    record.probe_time = SimTime::micros(
+        static_cast<std::int64_t>((slot.lo >> kLoTimeShift) | (hi_time << kLoTimeBits)));
+    const std::uint64_t payload = slot.hi >> kHiTimeBits;
+    if (record.type == RecordType::kUnmatched) {
+      record.count = static_cast<std::uint32_t>(payload);
+    } else {
+      record.rtt = SimTime::micros(static_cast<std::int64_t>(payload & (kRttLimit - 1)));
+      record.round = static_cast<std::uint32_t>(payload >> kRttBits);
+    }
+    return record;
+  }
+
+  std::deque<Slot> slots_;
+  std::vector<SurveyRecord> wide_;  ///< records the 16-byte form cannot hold
 };
 
 /// Streaming record reader with load()'s exact tolerance semantics —

@@ -184,7 +184,6 @@ void SurveyProber::take_checkpoint(std::uint32_t completed_rounds) {
   cp.round = completed_rounds;
   cp.taken_at = sim_.now();
   cp.rng = rng_.state();
-  cp.log = log_;
   cp.pending.reserve(outstanding_.size());
   outstanding_.for_each([&cp](const PendingTable::Entry& probe) {
     cp.pending.push_back(
@@ -199,7 +198,7 @@ void SurveyProber::take_checkpoint(std::uint32_t completed_rounds) {
               return a.send_time != b.send_time ? a.send_time < b.send_time
                                                 : a.address < b.address;
             });
-  checkpoint_bytes_ = cp.to_bytes();
+  cp.write_bytes(log_, checkpoint_bytes_);
   checkpoint_log_size_ = log_.size();
   fault_counter(checkpoints_taken_, "fault.survey.checkpoints").inc();
   // Chain the next boundary. The chain event is created here — before any
@@ -375,7 +374,7 @@ void SurveyProber::record_unmatched(net::Ipv4Address src, std::uint32_t copies) 
   const std::int64_t second = sim_.now().truncate_to_seconds().as_micros();
   const auto it = last_unmatched_.find(src.value());
   if (it != last_unmatched_.end() && it->second.second == second) {
-    log_.at(it->second.record_index).count += copies;
+    log_.add_count(it->second.record_index, copies);
     return;
   }
   if (last_unmatched_.size() >= config_.max_unmatched_slots) {

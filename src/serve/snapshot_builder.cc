@@ -339,7 +339,10 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
       const auto shard = static_cast<std::size_t>(it == firsts.begin() ? 0 : (it - firsts.begin() - 1));
       writers[shard].append(record);
     }
-    for (probe::RecordWriter& writer : writers) writer.finish();
+    for (probe::RecordWriter& writer : writers) {
+      writer.finish();
+      ledger.records_spilled += writer.written();
+    }
   }
 
   // Pass C: fold shards in parallel. Shards share nothing; outputs land

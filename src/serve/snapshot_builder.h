@@ -96,6 +96,9 @@ struct BuildLedger {
   std::uint64_t records_in = 0;
   std::uint64_t records_folded = 0;
   std::uint64_t records_skipped = 0;
+  /// Records pass B wrote to shard spills: those of the addresses that
+  /// answered. Not published as a counter.
+  std::uint64_t records_spilled = 0;
   std::uint64_t log_bytes = 0;       ///< serialized input size
   std::size_t shards = 0;            ///< shards the plan cut
   std::uint64_t total_samples = 0;   ///< post-pipeline RTT samples folded

@@ -275,7 +275,7 @@ probe::RecordLog random_log(util::Prng& rng, bool in_order) {
     r.probe_time = SimTime::micros(t_us);
     if (r.type != probe::RecordType::kMatched) r.probe_time = r.probe_time.truncate_to_seconds();
     if (in_order && log.size() > 0) {
-      r.probe_time = std::max(r.probe_time, log.records().back().probe_time);
+      r.probe_time = std::max(r.probe_time, log.at(log.size() - 1).probe_time);
     }
     if (r.type == probe::RecordType::kMatched) {
       r.rtt = SimTime::micros(static_cast<std::int64_t>(rng.uniform_int(3'000'000)));

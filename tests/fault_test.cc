@@ -451,6 +451,25 @@ TEST_F(CrashFixture, CrashedRunIsDeterministic) {
   EXPECT_EQ(first, out.str());
 }
 
+TEST_F(CrashFixture, CheckpointFromTheLiveLogMatchesToBytes) {
+  hosts::Host host{w.ctx, block.address(10), plain_profile(SimTime::millis(80)),
+                   util::Prng{1}};
+  resolver.put(block.address(10), &host);
+  probe::SurveyProber prober{w.sim, w.net, config, {block}, util::Prng{5}};
+  prober.start();
+  // The last checkpoints are written from a log restored by the resume.
+  w.sim.schedule_at(SimTime::seconds(800), [&] { prober.crash(SimTime::seconds(60)); });
+  w.sim.run();
+
+  // The prober writes its checkpoints straight from its live log; a
+  // checkpoint holding a copy of that log serializes to the same bytes.
+  const std::string& bytes = prober.checkpoint_bytes();
+  const auto cp = probe::SurveyCheckpoint::from_bytes(bytes);
+  EXPECT_EQ(cp.round, 4u);
+  EXPECT_GT(cp.log.size(), 3u * 256);
+  EXPECT_EQ(cp.to_bytes(), bytes);
+}
+
 TEST_F(CrashFixture, ResponsesDuringDowntimeAreCountedNotDelivered) {
   // Hosts slower than the crash window: responses to the probes sent just
   // before the crash arrive while the prober is down and must be counted,

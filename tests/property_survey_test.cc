@@ -49,24 +49,24 @@ TEST_P(SurveyProperty, RecordStreamInvariants) {
 
   // Per-address: at most `rounds` requests; request times strictly
   // increasing in round order; matched RTTs in (0, timeout].
-  std::map<std::uint32_t, std::vector<const SurveyRecord*>> per_addr;
+  std::map<std::uint32_t, std::vector<SurveyRecord>> per_addr;
   for (const auto& rec : log.records()) {
     if (rec.type == RecordType::kUnmatched) {
       EXPECT_GE(rec.count, 1u);
       EXPECT_EQ(rec.probe_time, rec.probe_time.truncate_to_seconds());
       continue;
     }
-    per_addr[rec.address.value()].push_back(&rec);
+    per_addr[rec.address.value()].push_back(rec);
   }
   for (const auto& [addr, recs] : per_addr) {
     EXPECT_LE(recs.size(), static_cast<std::size_t>(param.rounds));
     std::set<std::uint32_t> rounds_seen;
-    for (const auto* rec : recs) {
-      EXPECT_TRUE(rounds_seen.insert(rec->round).second)
-          << "duplicate round for " << rec->address.to_string();
-      if (rec->type == RecordType::kMatched) {
-        EXPECT_GT(rec->rtt, SimTime{});
-        EXPECT_LE(rec->rtt, config.match_timeout);
+    for (const SurveyRecord& rec : recs) {
+      EXPECT_TRUE(rounds_seen.insert(rec.round).second)
+          << "duplicate round for " << rec.address.to_string();
+      if (rec.type == RecordType::kMatched) {
+        EXPECT_GT(rec.rtt, SimTime{});
+        EXPECT_LE(rec.rtt, config.match_timeout);
       }
     }
   }

@@ -520,6 +520,9 @@ TEST(SnapshotBuilder, AddressesThatNeverAnsweredChangeNoByte) {
     EXPECT_EQ(ledger.shards, blocks.size() + dark.size());
     EXPECT_EQ(ledger.records_in, log.size());
     EXPECT_EQ(ledger.records_folded, log.size());
+    // Pass B spilled the answering addresses' records and no other.
+    EXPECT_EQ(ledger.records_spilled, answering.size());
+    EXPECT_LT(ledger.records_spilled, ledger.records_folded);
     EXPECT_EQ(read_file(streamed_path), in_memory_bytes) << "jobs " << jobs;
     std::remove(streamed_path.c_str());
   }
