@@ -18,12 +18,15 @@
 // is byte-identical across --jobs (the file itself is too; CI cmp's it).
 // The sweep also cross-checks the loaded file against an
 // OracleSnapshot::build of the same log: any field mismatch is a parity
-// failure and the bench exits non-zero.
+// failure and the bench exits non-zero. So is any byte of the streamed
+// file that differs from that in-memory build's write(): both run one
+// fold and merge, the file over its shards and the rebuild as one shard.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "harness.h"
@@ -188,6 +191,12 @@ int main(int argc, char** argv) {
         serve::OracleSnapshot::build(log, builder.snapshot, &geo));
     rebuild_us = (monotonic_seconds() - t0) * 1e6;
   }
+  // Streamed == in-memory, byte for byte (checked outside the timed rebuild).
+  std::ostringstream rebuilt_bytes;
+  rebuilt->write(rebuilt_bytes);
+  std::ostringstream file_bytes;
+  file_bytes << std::ifstream{snap_path, std::ios::binary}.rdbuf();
+  const bool bytes_match = rebuilt_bytes.view() == file_bytes.view();
   report.set_metric("rebuild_from_log_us", rebuild_us);
   report.set_metric("cold_load_speedup", cold_us > 0 ? rebuild_us / cold_us : 0.0);
   std::printf("# cold load %.0f us vs rebuild %.0f us: %.0fx\n", cold_us, rebuild_us,
@@ -222,6 +231,10 @@ int main(int argc, char** argv) {
 
   std::remove(log_path.c_str());
   if (!keep_snapshot) std::remove(snap_path.c_str());
+  if (!bytes_match) {
+    std::fprintf(stderr, "# FAIL: streamed snapshot differs from the in-memory build\n");
+    return 1;
+  }
   if (mismatches > 0) {
     std::fprintf(stderr, "# FAIL: %lld loaded-vs-built lookup mismatches\n",
                  static_cast<long long>(mismatches));

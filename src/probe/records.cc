@@ -44,7 +44,8 @@ constexpr std::uint32_t kVersion = 1;
 // Records move a block at a time: a stream call per 32-byte record costs
 // more than the bytes it moves. save() and RecordReader use 64 KiB
 // blocks. A RecordWriter keeps 8 KiB, because the snapshot builder holds
-// one per shard (up to max_shards = 256 of them, 2 MiB).
+// one per shard (up to kMaxShards = 256 of them in snapshot_builder.cc,
+// 2 MiB).
 constexpr std::size_t kBlockRecords = 2048;
 constexpr std::size_t kWriterBlockRecords = 256;
 

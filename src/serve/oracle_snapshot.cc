@@ -10,16 +10,12 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "analysis/pipeline.h"
 #include "core/p2_quantile.h"
 #include "core/recommendations.h"
 #include "util/check.h"
-#include "util/ordered.h"
 
 namespace turtle::serve {
 
@@ -28,93 +24,6 @@ namespace {
 /// Saturating sample-confidence factor: 0 at n = 0, -> 1 as n grows.
 double sample_factor(std::uint64_t n) {
   return static_cast<double>(n) / (static_cast<double>(n) + 16.0);
-}
-
-/// One tier's pooled-ping quantile estimators while build() folds: P2
-/// markers per configured percentile plus the pool size.
-struct Aggregate {
-  std::vector<core::P2Quantile> quantiles;
-  std::uint64_t samples = 0;
-};
-
-Aggregate make_aggregate(const std::vector<double>& percentiles) {
-  Aggregate aggregate;
-  aggregate.quantiles.reserve(percentiles.size());
-  for (const double p : percentiles) aggregate.quantiles.emplace_back(p / 100.0);
-  return aggregate;
-}
-
-void fold(Aggregate& aggregate, double rtt_s) {
-  for (core::P2Quantile& quantile : aggregate.quantiles) quantile.add(rtt_s);
-  ++aggregate.samples;
-}
-
-/// What build() folds the survey into, before it becomes an image.
-struct Tiers {
-  std::unordered_map<std::uint32_t, std::size_t> block_index;  // /24 network -> blocks
-  std::vector<Aggregate> blocks;
-  std::unordered_map<std::uint32_t, std::size_t> as_index;  // asn -> ases
-  std::vector<Aggregate> ases;
-  std::unordered_map<std::uint32_t, std::uint32_t> block_asn;  // /24 network -> asn
-  analysis::TimeoutMatrix matrix;
-  std::uint64_t total_samples = 0;
-};
-
-/// Serializes folded tiers to the snapshot-v1 format.
-void write_image(std::ostream& os, const SnapshotConfig& config, const Tiers& tiers) {
-  namespace sf = snapshot_format;
-  sf::Header header;
-  header.snapshot_version = config.version;
-  header.total_samples = tiers.total_samples;
-  header.min_block_samples = config.min_block_samples;
-  header.min_as_samples = config.min_as_samples;
-  header.min_samples_per_address = config.min_samples_per_address;
-  header.percentile_count = static_cast<std::uint32_t>(config.percentiles.size());
-  header.block_count = static_cast<std::uint32_t>(tiers.blocks.size());
-  header.as_count = static_cast<std::uint32_t>(tiers.ases.size());
-  header.matrix_rows = static_cast<std::uint32_t>(tiers.matrix.cells.size());
-  header.matrix_cols = static_cast<std::uint32_t>(
-      tiers.matrix.cells.empty() ? 0 : tiers.matrix.cells.front().size());
-  if (header.matrix_rows > 0 && header.matrix_cols > 0) header.flags |= sf::kFlagHasMatrix;
-
-  sf::Writer writer{os, header};
-  writer.begin_section(sf::kPercentiles);
-  for (const double p : config.percentiles) writer.put_f64(p);
-
-  // Key-sorted iteration (util::ordered_keys) is what makes the file a
-  // pure function of the logical content, not of hash-table history.
-  const std::vector<std::uint32_t> networks = util::ordered_keys(tiers.block_index);
-  writer.begin_section(sf::kBlockKeys);
-  for (const std::uint32_t network : networks) writer.put_u32(network);
-  writer.begin_section(sf::kBlockAsn);
-  for (const std::uint32_t network : networks) {
-    const auto it = tiers.block_asn.find(network);
-    writer.put_u32(it == tiers.block_asn.end() ? sf::kNoAsn : it->second);
-  }
-  writer.begin_section(sf::kBlockAggs);
-  for (const std::uint32_t network : networks) {
-    const Aggregate& aggregate = tiers.blocks[tiers.block_index.at(network)];
-    writer.put_aggregate(aggregate.samples, aggregate.quantiles);
-  }
-
-  const std::vector<std::uint32_t> asns = util::ordered_keys(tiers.as_index);
-  writer.begin_section(sf::kAsKeys);
-  for (const std::uint32_t asn : asns) writer.put_u32(asn);
-  writer.begin_section(sf::kAsAggs);
-  for (const std::uint32_t asn : asns) {
-    const Aggregate& aggregate = tiers.ases[tiers.as_index.at(asn)];
-    writer.put_aggregate(aggregate.samples, aggregate.quantiles);
-  }
-
-  writer.begin_section(sf::kMatrixRows);
-  for (const double r : tiers.matrix.row_percentiles) writer.put_f64(r);
-  writer.begin_section(sf::kMatrixCols);
-  for (const double c : tiers.matrix.col_percentiles) writer.put_f64(c);
-  writer.begin_section(sf::kMatrixCells);
-  for (const std::vector<double>& row : tiers.matrix.cells) {
-    for (const double cell : row) writer.put_f64(cell);
-  }
-  writer.finish();
 }
 
 /// Reads exactly `size` bytes at `offset`; false on a read error or an
@@ -182,85 +91,8 @@ const char* lookup_scope_name(LookupScope scope) {
   TURTLE_UNREACHABLE();
 }
 
-OracleSnapshot OracleSnapshot::build(const analysis::SurveyDataset& dataset,
-                                     SnapshotConfig config, const hosts::GeoDatabase* geo) {
-  TURTLE_CHECK(!config.percentiles.empty()) << "snapshot needs at least one percentile";
-  Tiers tiers;
-
-  // Run the paper's filtering pipeline first so broadcast and duplicate
-  // responders never poison a tier's quantiles. No registry: the serving
-  // layer publishes serve.* metrics, not a second copy of pipeline.*.
-  analysis::PipelineConfig pipeline_config;
-  const analysis::PipelineResult result = analysis::run_pipeline(dataset, pipeline_config);
-
-  // Canonical fold order: reports stable-sorted by /24 network. P2 marker
-  // states depend on fold order, so the order is part of the format's
-  // determinism contract — the streaming builder partitions the address
-  // space into contiguous network ranges, folds each shard in this same
-  // order, and concatenates, reproducing these exact marker states. Within
-  // a network (and per address) the original dataset order is preserved on
-  // both paths, which is what "stable" buys.
-  std::vector<const analysis::AddressReport*> canonical;
-  canonical.reserve(result.addresses.size());
-  for (const analysis::AddressReport& report : result.addresses) canonical.push_back(&report);
-  std::stable_sort(canonical.begin(), canonical.end(),
-                   [](const analysis::AddressReport* a, const analysis::AddressReport* b) {
-                     return net::Prefix24::containing(a->address).network() <
-                            net::Prefix24::containing(b->address).network();
-                   });
-
-  for (const analysis::AddressReport* report_ptr : canonical) {
-    const analysis::AddressReport& report = *report_ptr;
-    const std::uint32_t network = net::Prefix24::containing(report.address).network();
-    auto [block_it, inserted] = tiers.block_index.try_emplace(network, tiers.blocks.size());
-    if (inserted) {
-      tiers.blocks.push_back(make_aggregate(config.percentiles));
-      if (geo != nullptr) {
-        if (const hosts::AsTraits* traits = geo->lookup(report.address); traits != nullptr) {
-          tiers.block_asn.emplace(network, traits->asn);
-          auto [as_it, as_inserted] = tiers.as_index.try_emplace(traits->asn, tiers.ases.size());
-          if (as_inserted) tiers.ases.push_back(make_aggregate(config.percentiles));
-        }
-      }
-    }
-    Aggregate& block = tiers.blocks[tiers.block_index.at(network)];
-    Aggregate* as_aggregate = nullptr;
-    if (const auto asn_it = tiers.block_asn.find(network); asn_it != tiers.block_asn.end()) {
-      as_aggregate = &tiers.ases[tiers.as_index.at(asn_it->second)];
-    }
-    for (const double rtt_s : report.rtts_s) {
-      fold(block, rtt_s);
-      if (as_aggregate != nullptr) fold(*as_aggregate, rtt_s);
-      ++tiers.total_samples;
-    }
-  }
-
-  // The global tier is exactly the offline Table 2 recipe
-  // (bench/table2_timeout_matrix.cc): per-address percentiles, then
-  // percentile-of-percentiles. Keeping the recipe identical is what makes
-  // global lookups equal core::recommend_timeout on the same cells.
-  const analysis::PerAddressPercentiles per_address = analysis::PerAddressPercentiles::compute(
-      result.addresses, config.percentiles, config.min_samples_per_address);
-  if (per_address.address_count() > 0) {
-    tiers.matrix = analysis::TimeoutMatrix::compute(per_address, config.percentiles);
-  }
-
-  std::ostringstream os;
-  write_image(os, config, tiers);
-  const std::string bytes = std::move(os).str();
-  auto image = std::make_unique_for_overwrite<unsigned char[]>(bytes.size());
-  std::memcpy(image.get(), bytes.data(), bytes.size());
-  snapshot_format::View view;
-  std::string error;
-  const bool valid = snapshot_format::View::open(image.get(), bytes.size(), view, &error);
-  TURTLE_CHECK(valid) << error;
-  return OracleSnapshot{std::move(image), view};
-}
-
-OracleSnapshot OracleSnapshot::build(const probe::RecordLog& log, SnapshotConfig config,
-                                     const hosts::GeoDatabase* geo) {
-  return build(analysis::SurveyDataset::from_log(log), std::move(config), geo);
-}
+// OracleSnapshot::build is defined in snapshot_builder.cc, beside the
+// fold and merge it runs.
 
 OracleSnapshot::OracleSnapshot(std::unique_ptr<unsigned char[]> image,
                                const snapshot_format::View& view)

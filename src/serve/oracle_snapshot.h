@@ -20,11 +20,13 @@
 //
 // A snapshot has one representation however it was made: a validated
 // snapshot-v1 image (snapshot_format.h, DESIGN §15) in a heap buffer it
-// owns. build() serializes what it folds into that image; map() reads a
-// file into it. Every lookup reads the image through one
-// snapshot_format::View. Snapshots are immutable and carry a version; the
-// serving layer hot-swaps to a newer one atomically while in-flight
-// requests finish on the one they were dispatched against.
+// owns. build() runs the streaming builder's fold and merge
+// (snapshot_builder.h) over the log as one in-memory shard and adopts the
+// image they write; map() reads a file into it. Every lookup reads the
+// image through one snapshot_format::View. Snapshots are immutable and
+// carry a version; the serving layer hot-swaps to a newer one atomically
+// while in-flight requests finish on the one they were dispatched
+// against.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dataset.h"
 #include "analysis/percentiles.h"
 #include "hosts/geodb.h"
 #include "net/ipv4.h"
@@ -101,19 +102,16 @@ struct LookupResult {
 /// snapshot mid-lookup.
 class OracleSnapshot {
  public:
-  /// Builds from a grouped dataset. `geo`, when given, enables the AS
-  /// tier; without it lookups fall back block -> global. The pipeline's
-  /// broadcast and duplicate filters run first, so poisoned responders
-  /// never contribute to any tier's quantiles. The folded tiers are
-  /// serialized into the snapshot's image, exactly the bytes write() later
-  /// emits.
-  static OracleSnapshot build(const analysis::SurveyDataset& dataset,
-                              SnapshotConfig config = {},
-                              const hosts::GeoDatabase* geo = nullptr);
-
-  /// Convenience: groups the log, then builds. This is the crash-recovery
-  /// path of last resort: a server that lost its snapshot and has no
-  /// snapshot file reloads the checkpointed record log and rebuilds.
+  /// Builds from a record log held in memory: groups it, then runs
+  /// build_snapshot_file's fold and merge (snapshot_builder.h) over it as
+  /// one shard; defined beside them in snapshot_builder.cc. `geo`, when
+  /// given, enables the AS tier; without it lookups fall back block ->
+  /// global. The pipeline's broadcast and duplicate filters run first, so
+  /// poisoned responders never contribute to any tier's quantiles. The
+  /// image the merge writes is exactly the bytes write() later emits.
+  /// This is the crash-recovery path of last resort: a server that lost
+  /// its snapshot and has no snapshot file reloads the checkpointed record
+  /// log and rebuilds.
   static OracleSnapshot build(const probe::RecordLog& log, SnapshotConfig config = {},
                               const hosts::GeoDatabase* geo = nullptr);
 
@@ -125,8 +123,9 @@ class OracleSnapshot {
   /// Writes the snapshot-v1 image (snapshot_format.h, DESIGN §15). The
   /// bytes are a pure function of the logical content: blocks and ASes
   /// are key-sorted, and the P2 marker states are frozen exactly — which
-  /// is why a streaming build and an in-memory build of the same log
-  /// produce `cmp`-equal files. Throws std::runtime_error on I/O failure.
+  /// is why a streaming build of the same log, at any shard count,
+  /// produces a `cmp`-equal file. Throws std::runtime_error on I/O
+  /// failure.
   void write(const std::string& path) const;
   void write(std::ostream& os) const;
 

@@ -1,10 +1,18 @@
 // Bounded-memory streaming snapshot build: fold a RecordLog far larger
 // than RAM into a snapshot-v1 file.
 //
-// The in-memory OracleSnapshot::build holds the whole log, the grouped
-// dataset, and every aggregate at once — fine for a survey that fits,
-// fatal for the ROADMAP's millions-of-users scale. This builder is the
-// external-merge alternative:
+// A snapshot is made by one fold and one merge, both in
+// snapshot_builder.cc. The fold takes one shard's grouped dataset, runs
+// the filtering pipeline, stable-sorts the reports by /24 (the format's
+// canonical fold order), and writes the shard's block keys, ASNs and
+// frozen aggregates plus its per-address percentile columns to streams;
+// each report's AS-tier run (asn, RTTs) goes to a sink. The merge takes
+// the shards' outputs in shard order and the folded AS tier, computes the
+// Table 2 matrix, and writes the header and every section to a stream.
+// OracleSnapshot::build is their one-shard case: the whole log in memory,
+// its sink folding each AS run straight into the AS tier. This builder
+// cuts the log into shards so that no pass holds more than one shard's
+// dataset per job:
 //
 //   pass A  stream the log once (tolerant RecordReader, one fixed read
 //           block) tallying per /24 network in a hash map its records and
@@ -23,19 +31,13 @@
 //           dataset, so a shard whose /24s never answered spills nothing;
 //   pass C  fold shards in parallel on a util::ThreadPool: group the
 //           shard into a SurveyDataset by reading its spill twice (count,
-//           then place; the shard's records are never loaded), run the
-//           filtering pipeline, stable-sort reports by network (the
-//           format's canonical fold order, shared with
-//           OracleSnapshot::build), fold block aggregates, and spill
-//           sorted block keys/ASNs/frozen aggregates plus the AS-tier RTT
-//           run and the shard's per-address percentile columns;
-//   pass D  merge sequentially in shard order: concatenate the block
-//           sections (shard ranges are ascending, so concatenation IS
-//           the global sorted order), replay the AS RTT runs into per-AS
-//           estimators (P2 states cannot be merged, but replaying the
-//           canonical sequence reproduces them exactly), assemble the
-//           Table 2 matrix, and stream everything through
-//           snapshot_format::Writer.
+//           then place; the shard's records are never loaded) and fold it
+//           into spill files, the sink spilling the AS-tier runs;
+//   pass D  replay the AS runs shard by shard through the same per-AS
+//           fold (P2 states cannot be merged, but replaying the canonical
+//           sequence reproduces them exactly), then merge into the output
+//           file, concatenating the block sections (shard ranges are
+//           ascending, so concatenation IS the global sorted order).
 //
 // Peak memory is O(shard's answering dataset) per job + O(distinct ASes)
 // + O(/24 networks) for pass A's tallies (a counter and a 256-bit mask
@@ -48,7 +50,10 @@
 // Determinism: the shard plan ignores --jobs, shard folds share no state,
 // and the merge walks shards in index order — so the output file is
 // byte-identical across --jobs, and byte-identical to
-// OracleSnapshot::build(log).write() of the same log (CI `cmp`s both).
+// OracleSnapshot::build(log).write() of the same log. ctest compares the
+// two builds byte for byte (SnapshotBuilder.*), micro_snapshot exits
+// non-zero unless its streamed file equals its in-memory rebuild, and CI
+// `cmp`s the streamed files of --jobs 1 and 8.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +71,7 @@ struct BuilderConfig {
   /// match what the serving side expects (defaults match).
   SnapshotConfig snapshot;
 
-  /// Enables the AS tier, exactly as in OracleSnapshot::build.
+  /// Enables the AS tier, as OracleSnapshot::build's `geo` does.
   const hosts::GeoDatabase* geo = nullptr;
 
   /// Worker threads for the per-shard fold pass. Affects wall clock and
@@ -75,9 +80,8 @@ struct BuilderConfig {
   std::size_t jobs = 1;
 
   /// Target bytes of record-log input per shard. Smaller = lower peak
-  /// memory, more spill files. The shard count is clamped to max_shards.
+  /// memory, more spill files. A plan cuts at most 256 shards.
   std::uint64_t shard_budget_bytes = 64ULL << 20;
-  std::size_t max_shards = 256;
 
   /// Prefix for spill files, which the build removes whether it returns
   /// or throws; defaults to `<out_path>.tmp.` when empty.

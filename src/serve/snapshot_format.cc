@@ -249,20 +249,7 @@ void Writer::put_bytes(const void* data, std::size_t size) {
 }
 
 void Writer::put_u32(std::uint32_t v) { put_bytes(&v, sizeof v); }
-void Writer::put_u64(std::uint64_t v) { put_bytes(&v, sizeof v); }
 void Writer::put_f64(double v) { put_bytes(&v, sizeof v); }
-
-void Writer::put_quantile(const core::P2Quantile& quantile) {
-  std::string buffer;
-  buffer.reserve(kQuantileStateBytes);
-  append_quantile(buffer, quantile);
-  put_bytes(buffer.data(), buffer.size());
-}
-
-void Writer::put_aggregate(std::uint64_t samples, std::span<const core::P2Quantile> quantiles) {
-  put_u64(samples);
-  for (const core::P2Quantile& quantile : quantiles) put_quantile(quantile);
-}
 
 void Writer::finish() {
   TURTLE_CHECK(!finished_) << "Writer::finish called twice";
@@ -316,18 +303,16 @@ void append_f64(std::string& out, double v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-void append_quantile(std::string& out, const core::P2Quantile& quantile) {
-  const core::P2Quantile::State state = quantile.state();
-  append_u64(out, state.count);
-  for (const double h : state.heights) append_f64(out, h);
-  for (const double p : state.positions) append_f64(out, p);
-  for (const double d : state.desired) append_f64(out, d);
-}
-
 void append_aggregate(std::string& out, std::uint64_t samples,
                       std::span<const core::P2Quantile> quantiles) {
   append_u64(out, samples);
-  for (const core::P2Quantile& quantile : quantiles) append_quantile(out, quantile);
+  for (const core::P2Quantile& quantile : quantiles) {
+    const core::P2Quantile::State state = quantile.state();
+    append_u64(out, state.count);
+    for (const double h : state.heights) append_f64(out, h);
+    for (const double p : state.positions) append_f64(out, p);
+    for (const double d : state.desired) append_f64(out, d);
+  }
 }
 
 std::uint32_t read_u32(const unsigned char* p) {

@@ -173,12 +173,8 @@ class Writer {
   void begin_section(Section s);
 
   void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
   void put_f64(double v);
   void put_bytes(const void* data, std::size_t size);
-  void put_quantile(const core::P2Quantile& quantile);
-  /// One aggregate: sample count + every tracked quantile's frozen state.
-  void put_aggregate(std::uint64_t samples, std::span<const core::P2Quantile> quantiles);
 
   /// Pads to file_bytes, patches the header, flushes. Throws
   /// std::runtime_error on I/O failure. Call exactly once.
@@ -202,7 +198,9 @@ class Writer {
 void append_u32(std::string& out, std::uint32_t v);
 void append_u64(std::string& out, std::uint64_t v);
 void append_f64(std::string& out, double v);
-void append_quantile(std::string& out, const core::P2Quantile& quantile);
+/// One aggregate (`agg` above): the sample count, then every tracked
+/// quantile's frozen state. The only aggregate encoder: a Writer takes
+/// its bytes through put_bytes().
 void append_aggregate(std::string& out, std::uint64_t samples,
                       std::span<const core::P2Quantile> quantiles);
 [[nodiscard]] std::uint32_t read_u32(const unsigned char* p);

@@ -1,5 +1,6 @@
-// snapshot-v1 on-disk format: write/map round trip, the tiers against
-// P2Quantiles folded in the test, corruption rejection (counted, graceful),
+// snapshot-v1 on-disk format: write/map round trip, the tiers of the
+// in-memory and the streaming build against P2Quantiles folded in the
+// test, corruption rejection (counted, graceful),
 // streaming builder byte-identity with the in-memory serializer across
 // --jobs (on a log grouping must re-sort too, and on one with addresses
 // that never answered), the build ledger, spill cleanup after a failed
@@ -230,7 +231,27 @@ TEST(SnapshotFile, TiersMatchP2QuantilesFoldedFromTheLog) {
   const probe::RecordLog log = make_log({kBlockA, kBlockB, kBlockC}, 1, 40);
   auto config = small_config();
   config.min_as_samples = 40;  // AS 65002 pools block C's 40 alone
-  const OracleSnapshot snapshot = OracleSnapshot::build(log, config, geo.geo.get());
+  const OracleSnapshot built = OracleSnapshot::build(log, config, geo.geo.get());
+
+  // The streaming build, each block's 40 records a shard of its own: AS
+  // 65001's aggregate is replayed across two shards.
+  const std::string log_path = temp_path("tiers.records");
+  {
+    std::ofstream os{log_path, std::ios::binary | std::ios::trunc};
+    log.save(os);
+  }
+  serve::BuilderConfig builder;
+  builder.snapshot = config;
+  builder.geo = geo.geo.get();
+  builder.shard_budget_bytes = 1280;  // 40 records of 32 bytes
+  const std::string streamed_path = temp_path("tiers_streamed.snap");
+  const serve::BuildLedger ledger = serve::build_snapshot_file(log_path, streamed_path, builder);
+  ASSERT_EQ(ledger.shards, 3u);
+  std::string error;
+  const std::shared_ptr<const OracleSnapshot> streamed = OracleSnapshot::map(streamed_path, &error);
+  ASSERT_NE(streamed, nullptr) << error;
+  std::remove(log_path.c_str());
+  std::remove(streamed_path.c_str());
 
   struct Reference {
     std::vector<core::P2Quantile> quantiles;
@@ -258,16 +279,20 @@ TEST(SnapshotFile, TiersMatchP2QuantilesFoldedFromTheLog) {
       {kBlockB, folded({kBlockB}), folded({kBlockA, kBlockB})},
       {kBlockC, folded({kBlockC}), folded({kBlockC})},  // AS 65002
   };
-  for (const Row& row : rows) {
-    for (std::size_t i = 0; i < config.percentiles.size(); ++i) {
-      const double p = config.percentiles[i];
-      for (const auto& [scope, reference] :
-           {std::pair{LookupScope::kBlock, &row.at_block}, std::pair{LookupScope::kAs, &row.at_as}}) {
-        const LookupResult got = snapshot.lookup(row.block.address(1), 95, p, scope);
-        EXPECT_EQ(got.scope, scope) << row.block.to_string() << " p" << p;
-        EXPECT_EQ(got.samples, reference->samples);
-        EXPECT_EQ(got.timeout, SimTime::from_seconds(reference->quantiles[i].value()))
-            << row.block.to_string() << " " << lookup_scope_name(scope) << " p" << p;
+  for (const auto& [build, snapshot] :
+       {std::pair{"in-memory", &built}, std::pair{"streamed", streamed.get()}}) {
+    for (const Row& row : rows) {
+      for (std::size_t i = 0; i < config.percentiles.size(); ++i) {
+        const double p = config.percentiles[i];
+        for (const auto& [scope, reference] : {std::pair{LookupScope::kBlock, &row.at_block},
+                                               std::pair{LookupScope::kAs, &row.at_as}}) {
+          const LookupResult got = snapshot->lookup(row.block.address(1), 95, p, scope);
+          EXPECT_EQ(got.scope, scope) << build << " " << row.block.to_string() << " p" << p;
+          EXPECT_EQ(got.samples, reference->samples) << build;
+          EXPECT_EQ(got.timeout, SimTime::from_seconds(reference->quantiles[i].value()))
+              << build << " " << row.block.to_string() << " " << lookup_scope_name(scope)
+              << " p" << p;
+        }
       }
     }
   }
