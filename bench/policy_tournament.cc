@@ -7,12 +7,11 @@
 // under the scenario's fault plan, and the faulted record log becomes the
 // ground-truth observation stream (matched responses, re-attributed
 // delayed responses, losses — see serve::observations_from_log); (3) a
-// serving simulator hosts an OracleServer wired to a PolicyEngine, one
-// request per observation cycling through the policies (static baseline
-// included), each completion feeding the engine one observation to score
-// every policy against and then learn from. Decide-before-learn ordering
-// means each policy is judged on what it would have prescribed *before*
-// seeing the outcome.
+// PolicyEngine observes the stream in probe order, scoring every policy
+// (static baseline included) against each observation and then letting
+// the estimators learn from it. Decide-before-learn ordering means each
+// policy is judged on what it would have prescribed *before* seeing the
+// outcome.
 //
 // Scenarios: clean, faults_loss_burst, faults_delay_spike,
 // faults_block_outage, and the combined faults_policy_mix adversarial
@@ -23,6 +22,7 @@
 // --metrics-out are byte-identical across --jobs values (CI cmp-gates it).
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,10 +30,8 @@
 #include "core/online_policy.h"
 #include "harness.h"
 #include "report.h"
-#include "serve/oracle_server.h"
 #include "serve/oracle_snapshot.h"
 #include "serve/policy_engine.h"
-#include "util/check.h"
 #include "util/table.h"
 
 using namespace turtle;
@@ -46,9 +44,10 @@ struct Scenario {
   std::shared_ptr<const fault::FaultPlan> plan;
 };
 
+/// The static baseline, then the three adaptive policies in registration
+/// order.
 constexpr const char* kPolicyNames[] = {"static_table2", "jacobson_karn", "ewma",
                                         "cusum_p99"};
-constexpr std::uint32_t kPolicyCount = 4;  ///< static + three adaptive
 
 }  // namespace
 
@@ -61,12 +60,10 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto fault_seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 1));
   const std::string plans_dir = flags.get_string("plans-dir", "examples");
-  const auto spacing = SimTime::micros(flags.get_int("spacing-us", 1000));
   const auto max_tracked =
       static_cast<std::size_t>(flags.get_int("max-tracked", 4096));
   const double addr_coverage = flags.get_double("addr-coverage", 95.0);
   const double ping_coverage = flags.get_double("ping-coverage", 95.0);
-  TURTLE_CHECK_GT(spacing.as_micros(), 0) << "--spacing-us must be positive";
 
   std::vector<Scenario> scenarios;
   scenarios.push_back({"clean", "", nullptr});
@@ -81,8 +78,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("# policy_tournament: %d shards x %zu scenarios x (%d blocks x %d "
-              "rounds), %u policies\n",
-              shards, scenarios.size(), blocks, rounds, kPolicyCount);
+              "rounds), %zu policies\n",
+              shards, scenarios.size(), blocks, rounds, std::size(kPolicyNames));
 
   struct ShardResult {
     std::uint64_t events = 0;
@@ -133,11 +130,8 @@ int main(int argc, char** argv) {
             observations = serve::observations_from_log(clean_prober.log());
           }
 
-          // Phase 3: the serving simulator. One request per observation,
-          // cycling the policy roster; each completion hands the engine
-          // the observation to score every policy against.
-          sim::Simulator serve_sim{ctx.registry, ctx.trace};
-
+          // Phase 3: the engine scores every policy against each
+          // observation, in probe order.
           serve::PolicyEngineConfig engine_config;
           engine_config.max_tracked_blocks = max_tracked;
           engine_config.metric_prefix = "policy." + scenario.name;
@@ -148,32 +142,9 @@ int main(int argc, char** argv) {
           engine.register_policy(std::make_unique<core::JacobsonKarnPolicy>());
           engine.register_policy(std::make_unique<core::EwmaVariancePolicy>());
           engine.register_policy(std::make_unique<core::CusumQuantilePolicy>());
-
-          serve::ServerConfig server_config;
-          server_config.registry = ctx.registry;
-          server_config.trace = ctx.trace;
-          server_config.policy_engine = &engine;
-          serve::OracleServer server{serve_sim, server_config, snapshot};
-
-          for (std::size_t i = 0; i < observations.size(); ++i) {
-            serve::Request request;
-            request.addr = observations[i].addr;
-            request.addr_coverage = addr_coverage;
-            request.ping_coverage = ping_coverage;
-            request.policy_id = static_cast<std::uint32_t>(i % kPolicyCount);
-            serve_sim.schedule_at(
-                spacing * static_cast<std::int64_t>(i),
-                [&server, &engine, request, observation = observations[i]] {
-                  server.submit(request,
-                                [&engine, observation](const serve::LookupResult&,
-                                                       SimTime) {
-                                  engine.observe(observation);
-                                });
-                });
+          for (const serve::PolicyObservation& observation : observations) {
+            engine.observe(observation);
           }
-          serve_sim.run();
-          server.finalize();
-          result.events += serve_sim.events_processed();
         }
         return result;
       });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace turtle::core {
 
@@ -97,10 +98,14 @@ P2Quantile P2Quantile::restore(double q, const State& state) {
 double P2Quantile::value() const {
   if (count_ == 0) return 0.0;
   if (count_ < 5) {
-    // Exact sample quantile over the first few observations.
-    std::array<double, 5> sorted{};
+    // Exact sample quantile over the first few observations. The unused
+    // slots hold +infinity, so sorting all five leaves the observations in
+    // the first count_ slots (a fixed-length sort also keeps GCC's
+    // -Warray-bounds quiet about the variable-length one).
+    std::array<double, 5> sorted;
+    sorted.fill(std::numeric_limits<double>::infinity());
     std::copy_n(heights_.begin(), count_, sorted.begin());
-    std::sort(sorted.begin(), sorted.begin() + static_cast<long>(count_));
+    std::sort(sorted.begin(), sorted.end());
     const double rank = q_ * static_cast<double>(count_ - 1);
     const auto lo = static_cast<std::size_t>(rank);
     const double frac = rank - static_cast<double>(lo);

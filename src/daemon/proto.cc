@@ -56,7 +56,12 @@ bool parse_query_option(std::string_view token, serve::Request& query) {
     }
     return true;
   }
-  if (key == "policy") return parse_u32(value, query.policy_id);
+  if (key == "policy") {
+    // Accepted for older clients and discarded: every answer comes from
+    // the snapshot.
+    std::uint32_t policy = 0;
+    return parse_u32(value, policy);
+  }
   if (key == "addr-coverage") return parse_double(value, query.addr_coverage);
   if (key == "ping-coverage") return parse_double(value, query.ping_coverage);
   return false;

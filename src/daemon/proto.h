@@ -55,7 +55,7 @@ enum class ParseError : std::uint8_t {
 
 struct ParsedRequest {
   Command command = Command::kQuery;
-  /// kQuery: the oracle request (addr, coverages, scope forcing, policy).
+  /// kQuery: the oracle request (addr, coverages, scope forcing).
   serve::Request query;
   /// kSwap: snapshot file operand.
   std::string swap_path;

@@ -1,17 +1,20 @@
 #include "serve/oracle_server.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "net/packet.h"
-#include "serve/policy_engine.h"
 #include "util/check.h"
 
 namespace turtle::serve {
 
 OracleServer::OracleServer(sim::Simulator& sim, ServerConfig config,
                            std::shared_ptr<const OracleSnapshot> snapshot)
-    : sim_{sim}, config_{std::move(config)}, snapshot_{std::move(snapshot)} {
+    : sim_{sim},
+      config_{std::move(config)},
+      owner_{std::this_thread::get_id()},
+      snapshot_{std::move(snapshot)} {
   TURTLE_CHECK_GT(config_.queue_capacity, 0u);
   TURTLE_CHECK_GT(config_.batch_size, 0u);
   if (config_.registry == nullptr) {
@@ -45,6 +48,7 @@ OracleServer::OracleServer(sim::Simulator& sim, ServerConfig config,
 }
 
 bool OracleServer::submit(const Request& request, Callback callback) {
+  TURTLE_DCHECK(std::this_thread::get_id() == owner_) << "OracleServer used off its thread";
   offered_->inc();
   Pending pending{request, sim_.now(), std::move(callback), SimTime{}};
   if (request.trace_id != 0) {
@@ -91,27 +95,20 @@ bool OracleServer::submit(const Request& request, Callback callback) {
       for (std::uint32_t i = 0; i < action.extra_copies; ++i) {
         sim_.schedule_after(action.extra_delay,
                             [this, copy = Pending{copy_request, pending.submit_time, nullptr, SimTime{}}]() mutable {
-                              arrive_entry(std::move(copy));
+                              arrive(std::move(copy));
                             });
       }
       sim_.schedule_after(action.extra_delay, [this, p = std::move(pending)]() mutable {
-        arrive_entry(std::move(p));
+        arrive(std::move(p));
       });
       return true;  // deferred: admission is decided on arrival
     }
-    const util::MutexLock lock{mu_};
     for (std::uint32_t i = 0; i < action.extra_copies; ++i) {
       arrive(Pending{copy_request, pending.submit_time, nullptr, SimTime{}});
     }
     return arrive(std::move(pending));
   }
-  const util::MutexLock lock{mu_};
   return arrive(std::move(pending));
-}
-
-void OracleServer::arrive_entry(Pending pending) {
-  const util::MutexLock lock{mu_};
-  arrive(std::move(pending));
 }
 
 bool OracleServer::arrive(Pending pending) {
@@ -171,15 +168,9 @@ void OracleServer::start_batch() {
     cost = cost + touch_cache(pending.request.addr);
     // Results are computed at dispatch against the snapshot serving *now*;
     // a swap landing before the batch completes does not retroactively
-    // change answers already in flight. With a policy engine configured
-    // the request's policy answers instead — warm per-/24 estimators at
-    // block scope, cold ones through the engine's snapshot fallback — so
-    // the scope_* accounting below covers both paths uniformly.
+    // change answers already in flight.
     LookupResult result;
-    if (config_.policy_engine != nullptr) {
-      result = config_.policy_engine->answer(pending.request.policy_id,
-                                             pending.request.addr);
-    } else if (snapshot_ != nullptr) {
+    if (snapshot_ != nullptr) {
       result = snapshot_->lookup(pending.request.addr, pending.request.addr_coverage,
                                  pending.request.ping_coverage, pending.request.min_scope);
     }
@@ -217,18 +208,14 @@ void OracleServer::start_batch() {
 }
 
 void OracleServer::complete_batch(std::uint64_t epoch) {
+  // A stale epoch means the server crashed while this batch was in
+  // flight; its requests were already shed by crash().
+  if (epoch != epoch_) return;
   std::vector<InFlight> completed;
-  {
-    const util::MutexLock lock{mu_};
-    // A stale epoch means the server crashed while this batch was in
-    // flight; its requests were already shed by crash().
-    if (epoch != epoch_) return;
-    completed.swap(in_flight_);
-  }
-  // Callbacks run outside the lock: a callback is user code and may
-  // legally re-enter submit(). busy_ stays true until after they fire, so
-  // re-entrant submissions queue instead of starting a nested batch —
-  // same dispatch order as before the lock existed.
+  completed.swap(in_flight_);
+  // A callback is user code and may re-enter submit() (or crash()).
+  // busy_ stays true until after they all fire, so re-entrant submissions
+  // queue behind this batch instead of starting a nested one.
   for (InFlight& entry : completed) {
     const SimTime latency = sim_.now() - entry.pending.submit_time;
     latency_->observe(latency);
@@ -246,14 +233,13 @@ void OracleServer::complete_batch(std::uint64_t epoch) {
     }
     if (entry.pending.callback) entry.pending.callback(entry.result, latency);
   }
-  const util::MutexLock lock{mu_};
   if (epoch != epoch_) return;  // crashed while callbacks ran
   busy_ = false;
   if (!down_ && !queue_.empty()) start_batch();
 }
 
 void OracleServer::swap_snapshot(std::shared_ptr<const OracleSnapshot> snapshot) {
-  const util::MutexLock lock{mu_};
+  TURTLE_DCHECK(std::this_thread::get_id() == owner_) << "OracleServer used off its thread";
   snapshot_ = std::move(snapshot);
   snapshot_swaps_->inc();
   // The working set described the old snapshot's aggregates; a swapped-in
@@ -267,11 +253,11 @@ void OracleServer::swap_snapshot(std::shared_ptr<const OracleSnapshot> snapshot)
 }
 
 void OracleServer::crash(SimTime restart_delay) {
+  TURTLE_DCHECK(std::this_thread::get_id() == owner_) << "OracleServer used off its thread";
   if (fault_crashes_ == nullptr) {
     fault_crashes_ = &config_.registry->counter("fault.serve.crashes");
   }
   fault_crashes_->inc();
-  const util::MutexLock lock{mu_};
   down_ = true;
   ++epoch_;  // orphan any scheduled batch completion
   // Everything the dead process held is shed — counted, never silent.
@@ -288,9 +274,9 @@ void OracleServer::crash(SimTime restart_delay) {
 }
 
 void OracleServer::restart() {
-  // Recovery ladder, all outside the lock: (1) reload of the snapshot
-  // file — O(read + checksum) instead of O(rebuild); (2) the rebuild
-  // hook (checkpointed record log); (3) serve global defaults snapshotless.
+  // Recovery ladder: (1) reload of the snapshot file — O(read +
+  // checksum) instead of O(rebuild); (2) the rebuild hook (checkpointed
+  // record log); (3) serve global defaults snapshotless.
   // A rejected file is counted (fault.snapshot.load_rejected inside map())
   // and falls through — recovery degrades, never wedges.
   std::shared_ptr<const OracleSnapshot> next;
@@ -303,14 +289,13 @@ void OracleServer::restart() {
     }
   }
   if (next == nullptr && rebuild_) {
-    next = rebuild_();  // user code: build outside the lock
+    next = rebuild_();
     snapshot_rebuilds_->inc();
     install = true;
   }
   if (next != nullptr) {
     snapshot_version_->set_max(static_cast<std::int64_t>(next->version()));
   }
-  const util::MutexLock lock{mu_};
   if (install) snapshot_ = std::move(next);
   down_ = false;
   TURTLE_TRACE(config_.trace, instant("serve.restart", "serve", sim_.now()));
@@ -318,7 +303,7 @@ void OracleServer::restart() {
 }
 
 void OracleServer::finalize() {
-  const util::MutexLock lock{mu_};
+  TURTLE_DCHECK(std::this_thread::get_id() == owner_) << "OracleServer used off its thread";
   const std::size_t leftover = queue_.size() + in_flight_.size();
   queued_->inc(leftover);
 }

@@ -10,6 +10,12 @@
 // request ends in exactly one of served / shed / still-queued-at-finalize,
 // and sheds are attributed (overload vs server-down vs network fault) —
 // nothing is ever silently dropped.
+//
+// Thread contract: a server is used only on the thread that built it —
+// the thread that runs its simulator — and holds no lock, because
+// sim::Simulator holds none either. The sharded benches build one server
+// per shard inside that shard's callback. Debug builds check the contract
+// with a TURTLE_DCHECK in each public entry point.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +24,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -29,13 +36,9 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "util/inline_function.h"
-#include "util/mutex.h"
 #include "util/sim_time.h"
-#include "util/thread_annotations.h"
 
 namespace turtle::serve {
-
-class PolicyEngine;
 
 struct ServerConfig {
   /// Bounded request queue; arrivals beyond this are shed (counted under
@@ -71,13 +74,6 @@ struct ServerConfig {
   /// falls back to the set_rebuild hook, exactly as before.
   std::string snapshot_path;
 
-  /// When set, lookups route through the policy engine: a request's
-  /// policy_id selects which registered adaptive policy (or the static
-  /// snapshot baseline, id 0) answers it. The engine holds its own
-  /// snapshot reference, so a server crash does not blind it; it must
-  /// outlive the server. Null keeps the plain snapshot path.
-  PolicyEngine* policy_engine = nullptr;
-
   /// Metrics/trace sinks (usually the owning shard's).
   obs::Registry* registry = nullptr;
   obs::TraceSink* trace = nullptr;
@@ -97,14 +93,9 @@ struct Request {
   /// tagged with this id, and its completion latency becomes an exemplar
   /// candidate. 0 (the default) means untraced — zero extra work.
   std::uint64_t trace_id = 0;
-  /// Which policy answers this request when ServerConfig::policy_engine
-  /// is set: 0 = the static snapshot baseline, 1.. = register_policy ids.
-  /// Ignored without an engine.
-  std::uint32_t policy_id = 0;
-  /// Coarsest-tier forcing for snapshot-path lookups (the wire protocol's
-  /// `scope=` selector): kAs skips the per-/24 probe, kGlobal answers
-  /// straight from the Table 2 matrix. Requests routed through a policy
-  /// engine ignore this — an adaptive policy decides its own scope.
+  /// Coarsest-tier forcing (the wire protocol's `scope=` selector): kAs
+  /// skips the per-/24 probe, kGlobal answers straight from the Table 2
+  /// matrix.
   LookupScope min_scope = LookupScope::kBlock;
 };
 
@@ -133,21 +124,19 @@ class OracleServer {
   /// the single source of truth. True means the request was admitted (or
   /// deferred by a fault-injected entry delay, in which case it may still
   /// shed later without firing the callback).
-  bool submit(const Request& request, Callback callback) TURTLE_EXCLUDES(mu_);
+  bool submit(const Request& request, Callback callback);
 
-  /// Atomically replaces the serving snapshot. Requests already dispatched
-  /// keep the results computed against the old snapshot; the working-set
-  /// cache is invalidated (its contents described the old aggregates).
-  /// The swap happens under mu_, the same lock the dispatch path holds.
-  void swap_snapshot(std::shared_ptr<const OracleSnapshot> snapshot)
-      TURTLE_EXCLUDES(mu_);
+  /// Replaces the serving snapshot. Requests already dispatched keep the
+  /// results computed against the old snapshot; the working-set cache is
+  /// invalidated (its contents described the old aggregates).
+  void swap_snapshot(std::shared_ptr<const OracleSnapshot> snapshot);
 
   /// Crash: the live snapshot and working set are lost, queued and
   /// in-flight requests are shed (counted under serve.shed_down), and the
   /// server restarts after `restart_delay`, rebuilding a snapshot via the
   /// set_rebuild callback — the checkpointed-record-log recovery path.
   /// Wire this to fault::FaultInjector::arm.
-  void crash(SimTime restart_delay) TURTLE_EXCLUDES(mu_);
+  void crash(SimTime restart_delay);
 
   /// Rebuild hook used by crash recovery. Typically loads the checkpointed
   /// record log and builds a fresh snapshot from it.
@@ -165,20 +154,9 @@ class OracleServer {
 
   /// Call after the simulation drains: folds still-pending requests into
   /// serve.queued so offered == served + shed + queued closes exactly.
-  void finalize() TURTLE_EXCLUDES(mu_);
+  void finalize();
 
-  [[nodiscard]] bool down() const TURTLE_EXCLUDES(mu_) {
-    const util::MutexLock lock{mu_};
-    return down_;
-  }
-  [[nodiscard]] std::size_t queue_depth() const TURTLE_EXCLUDES(mu_) {
-    const util::MutexLock lock{mu_};
-    return queue_.size();
-  }
-  [[nodiscard]] const OracleSnapshot* snapshot() const TURTLE_EXCLUDES(mu_) {
-    const util::MutexLock lock{mu_};
-    return snapshot_.get();
-  }
+  [[nodiscard]] bool down() const { return down_; }
 
  private:
   struct Pending {
@@ -198,41 +176,35 @@ class OracleServer {
 
   /// Arrival at the admission gate (after any fault-injected entry delay).
   /// Returns false when the arrival was shed instead of enqueued.
-  bool arrive(Pending pending) TURTLE_REQUIRES(mu_);
-  /// Lock-taking wrapper for arrivals scheduled as simulator events.
-  void arrive_entry(Pending pending) TURTLE_EXCLUDES(mu_);
+  bool arrive(Pending pending);
   void shed(ShedReason reason);
   /// Terminates a traced request's trace visibly when it is shed.
   void shed_traced(const Pending& pending);
-  void start_batch() TURTLE_REQUIRES(mu_);
-  void complete_batch(std::uint64_t epoch) TURTLE_EXCLUDES(mu_);
-  void restart() TURTLE_EXCLUDES(mu_);
+  void start_batch();
+  void complete_batch(std::uint64_t epoch);
+  void restart();
   /// LRU working-set consult; returns the per-request service time.
-  SimTime touch_cache(net::Ipv4Address addr) TURTLE_REQUIRES(mu_);
+  SimTime touch_cache(net::Ipv4Address addr);
 
   sim::Simulator& sim_;
   ServerConfig config_;
   std::function<std::shared_ptr<const OracleSnapshot>()> rebuild_;
   sim::FaultHook* fault_hook_ = nullptr;
+  /// The thread that built the server, the only one that may use it.
+  std::thread::id owner_;
 
-  /// Guards every piece of serving state below: the queue, the dispatch
-  /// batch, the LRU working set, the snapshot pointer the swap path
-  /// replaces, and the crash-epoch guard. In-sim use is single-threaded,
-  /// so every acquisition is uncontended.
-  mutable util::Mutex mu_;
-  std::shared_ptr<const OracleSnapshot> snapshot_ TURTLE_GUARDED_BY(mu_);
-  std::deque<Pending> queue_ TURTLE_GUARDED_BY(mu_);
-  std::vector<InFlight> in_flight_ TURTLE_GUARDED_BY(mu_);
-  bool busy_ TURTLE_GUARDED_BY(mu_) = false;
-  bool down_ TURTLE_GUARDED_BY(mu_) = false;
+  std::shared_ptr<const OracleSnapshot> snapshot_;
+  std::deque<Pending> queue_;
+  std::vector<InFlight> in_flight_;
+  bool busy_ = false;
+  bool down_ = false;
   /// Bumped on crash; a scheduled batch completion whose epoch is stale
   /// belongs to a crashed server incarnation and must not run.
-  std::uint64_t epoch_ TURTLE_GUARDED_BY(mu_) = 0;
+  std::uint64_t epoch_ = 0;
 
   /// LRU working set: most-recent block at the front.
-  std::list<std::uint32_t> lru_ TURTLE_GUARDED_BY(mu_);
-  std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator> lru_index_
-      TURTLE_GUARDED_BY(mu_);
+  std::list<std::uint32_t> lru_;
+  std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator> lru_index_;
 
   /// Private registry used when the config has none, so the accounting
   /// pointers below are always live (accessor-style uses in tests).

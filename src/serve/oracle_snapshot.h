@@ -91,15 +91,14 @@ struct LookupResult {
 /// Move-only: the view points into the owned image, and a move hands the
 /// image's heap buffer over without relocating it.
 ///
-/// Thread contract (checked by -Wthread-safety at the call sites): a
-/// snapshot deliberately holds no mutex of its own. The image is written
-/// and validated before the constructor runs, and every public const
-/// accessor only reads it (a lookup restores a P2Quantile by value), so
-/// concurrent lookup() calls from many serving threads need no lock. The
-/// one guarded thing is *which* snapshot is live, and that pointer lives
-/// in OracleServer under its mu_ (TURTLE_GUARDED_BY) — in-flight requests
-/// keep their dispatch-time shared_ptr, so a hot-swap never frees a
-/// snapshot mid-lookup.
+/// Thread contract: a snapshot deliberately holds no mutex of its own.
+/// The image is written and validated before the constructor runs, and
+/// every public const accessor only reads it (a lookup restores a
+/// P2Quantile by value), so concurrent lookup() calls from many threads
+/// need no lock. *Which* snapshot is live is its server's state, swapped
+/// on that server's one thread (OracleServer::swap_snapshot, turtled's
+/// SWAP) and held by shared_ptr, so a hot-swap never frees a snapshot
+/// mid-lookup.
 class OracleSnapshot {
  public:
   /// Builds from a record log held in memory: groups it, then runs

@@ -1,5 +1,6 @@
 #include "serve/policy_engine.h"
 
+#include <thread>
 #include <utility>
 
 #include "util/check.h"
@@ -8,19 +9,15 @@ namespace turtle::serve {
 
 PolicyEngine::PolicyEngine(PolicyEngineConfig config,
                            std::shared_ptr<const OracleSnapshot> snapshot)
-    : config_{std::move(config)}, snapshot_{std::move(snapshot)} {
+    : config_{std::move(config)},
+      snapshot_{std::move(snapshot)},
+      owner_{std::this_thread::get_id()} {
   TURTLE_CHECK_GT(config_.max_tracked_blocks, 0u);
-  if (config_.registry == nullptr) {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    config_.registry = owned_registry_.get();
-  }
+  TURTLE_CHECK(config_.registry != nullptr);
   obs::Registry& registry = *config_.registry;
   decisions_ = &registry.counter(config_.metric_prefix + ".decisions");
   timeouts_ = &registry.counter(config_.metric_prefix + ".timeouts");
   correct_waits_ = &registry.counter(config_.metric_prefix + ".correct_waits");
-  // The lock makes the guarded-member initialization visible to the
-  // thread-safety analysis; the constructor is single-threaded anyway.
-  const util::MutexLock lock{mu_};
   static_tally_ = make_tally("static_table2");
 }
 
@@ -34,70 +31,18 @@ PolicyEngine::Tally PolicyEngine::make_tally(const std::string& name) {
   tally.correct_waits = &registry.counter(base + "correct_waits");
   tally.wait_us = &registry.counter(base + "wait_us");
   tally.excess_wait_us = &registry.counter(base + "excess_wait_us");
-  tally.answered = &registry.counter(base + "answered");
-  tally.answered_cold = &registry.counter(base + "answered_cold");
   tally.evictions = &registry.counter(base + "evictions");
   tally.estimator_resets = &registry.counter(base + "estimator_resets");
   return tally;
 }
 
-std::uint32_t PolicyEngine::register_policy(std::unique_ptr<core::OnlinePolicy> policy) {
+void PolicyEngine::register_policy(std::unique_ptr<core::OnlinePolicy> policy) {
+  TURTLE_DCHECK(std::this_thread::get_id() == owner_) << "PolicyEngine used off its thread";
   TURTLE_CHECK(policy != nullptr);
-  const util::MutexLock lock{mu_};
   PolicyState state;
-  state.name = policy->name();
-  state.tally = make_tally(state.name);
+  state.tally = make_tally(policy->name());
   state.policy = std::move(policy);
   policies_.push_back(std::move(state));
-  return static_cast<std::uint32_t>(policies_.size());
-}
-
-std::size_t PolicyEngine::policy_count() const {
-  const util::MutexLock lock{mu_};
-  return policies_.size();
-}
-
-std::string PolicyEngine::policy_name(std::uint32_t policy_id) const {
-  const util::MutexLock lock{mu_};
-  if (policy_id == kStaticPolicyId) return "static_table2";
-  TURTLE_CHECK_LE(policy_id, policies_.size());
-  return policies_[policy_id - 1].name;
-}
-
-LookupResult PolicyEngine::static_lookup(net::Ipv4Address addr) const {
-  if (snapshot_ == nullptr) return {};
-  return snapshot_->lookup(addr, config_.addr_coverage, config_.ping_coverage);
-}
-
-LookupResult PolicyEngine::answer(std::uint32_t policy_id, net::Ipv4Address addr) {
-  const util::MutexLock lock{mu_};
-  if (policy_id == kStaticPolicyId) {
-    static_tally_.answered->inc();
-    return static_lookup(addr);
-  }
-  TURTLE_CHECK_LE(policy_id, policies_.size()) << "unregistered policy id";
-  PolicyState& state = policies_[policy_id - 1];
-  state.tally.answered->inc();
-  const std::uint32_t network = net::Prefix24::containing(addr).network();
-  const auto it = state.entries.find(network);
-  if (it == state.entries.end() || it->second.estimator->samples() == 0) {
-    // Cold destination: fall back to the frozen snapshot answer — the
-    // static oracle is the adaptive policies' prior, not a competitor on
-    // addresses they have never observed.
-    state.tally.answered_cold->inc();
-    return static_lookup(addr);
-  }
-  const core::OnlineEstimator& estimator = *it->second.estimator;
-  const core::TimeoutDecision decision = estimator.decide();
-  LookupResult result;
-  result.timeout = decision.give_up_after;
-  result.scope = LookupScope::kBlock;
-  result.samples = estimator.samples();
-  // Same saturating heuristic as the snapshot's block tier.
-  const double n = static_cast<double>(estimator.samples());
-  result.confidence = n / (n + 16.0);
-  result.version = snapshot_ != nullptr ? snapshot_->version() : 0;
-  return result;
 }
 
 void PolicyEngine::score(const Tally& tally, SimTime give_up,
@@ -121,8 +66,16 @@ void PolicyEngine::score(const Tally& tally, SimTime give_up,
 }
 
 void PolicyEngine::observe(const PolicyObservation& observation) {
-  const util::MutexLock lock{mu_};
-  score(static_tally_, static_lookup(observation.addr).timeout, observation);
+  TURTLE_DCHECK(std::this_thread::get_id() == owner_) << "PolicyEngine used off its thread";
+  // The static baseline gives up at the frozen snapshot's answer, or at
+  // once when there is no snapshot.
+  SimTime static_give_up;
+  if (snapshot_ != nullptr) {
+    static_give_up =
+        snapshot_->lookup(observation.addr, config_.addr_coverage, config_.ping_coverage)
+            .timeout;
+  }
+  score(static_tally_, static_give_up, observation);
   const std::uint32_t network = net::Prefix24::containing(observation.addr).network();
   for (PolicyState& state : policies_) {
     Entry& entry = touch(state, network);

@@ -1,13 +1,13 @@
-// PolicyEngine: runs adaptive timeout policies online against the serve
-// path, next to (and scored against) the static Table-2 oracle.
+// PolicyEngine: scores adaptive timeout policies, and the static Table-2
+// oracle beside them, against ground-truth observations.
 //
 // Each registered core::OnlinePolicy gets a bounded per-/24 working set of
 // estimator state (LRU with counted eviction — the same prober-state-cost
 // argument the snapshot makes, Section 2.1). Ground-truth observations
-// extracted from a survey log flow in through observe(); for every
-// observation the engine first asks each policy what it *would have*
-// decided, scores that decision, and only then lets the estimator learn —
-// a decision must never see its own outcome.
+// extracted from a survey log flow in through observe(), the one entry
+// point: for every observation the engine first asks each policy what it
+// *would have* decided, scores that decision, and only then lets the
+// estimator learn — a decision must never see its own outcome.
 //
 // Ledger contract, in the injected == observed spirit of the fault and
 // serving ledgers: for the aggregate and for every policy (the static
@@ -17,17 +17,18 @@
 //       <prefix>[.<name>].timeouts + <prefix>[.<name>].correct_waits
 //
 // with false_timeouts <= timeouts (a false timeout is a timeout whose
-// response did eventually arrive) and answered_cold <= answered on the
-// serving side. wait_us accumulates what the policy actually waited
-// (the rtt on a correct wait, the full give-up on a timeout);
-// excess_wait_us accumulates give_up - rtt on correct waits — the state
-// the policy was prepared to hold beyond the response, the paper's cost
-// of listening longer. scripts/validate_obs.py --policy asserts all of it.
+// response did eventually arrive). wait_us accumulates what the policy
+// actually waited (the rtt on a correct wait, the full give-up on a
+// timeout); excess_wait_us accumulates give_up - rtt on correct waits —
+// the state the policy was prepared to hold beyond the response, the
+// paper's cost of listening longer. scripts/validate_obs.py --policy
+// asserts all of it.
 //
-// Thread contract: all mutable state is GUARDED_BY(mu_). In the sharded
-// benches each shard owns a private engine over its private registry
-// (merged in shard order), so every counter is byte-identical across
-// --jobs; the lock is the contract concurrent serving threads rely on.
+// Thread contract: an engine is used only on the thread that built it,
+// and holds no lock. In the sharded tournament each shard builds and
+// drives a private engine over its private registry (merged in shard
+// order), so every counter is byte-identical across --jobs. Debug builds
+// check the contract with a TURTLE_DCHECK in each public entry point.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/online_policy.h"
@@ -42,9 +44,7 @@
 #include "obs/metrics.h"
 #include "probe/records.h"
 #include "serve/oracle_snapshot.h"
-#include "util/mutex.h"
 #include "util/sim_time.h"
-#include "util/thread_annotations.h"
 
 namespace turtle::serve {
 
@@ -57,17 +57,17 @@ struct PolicyEngineConfig {
   /// tournament runs one engine per scenario, disjoint by prefix.
   std::string metric_prefix = "policy";
 
-  /// Coverage targets for static-baseline and cold-fallback snapshot
-  /// lookups (same semantics as serve::Request).
+  /// Coverage targets for the static baseline's snapshot lookups (same
+  /// semantics as serve::Request).
   double addr_coverage = 95.0;
   double ping_coverage = 95.0;
 
-  /// Metrics sink; the engine owns a private registry when null.
+  /// Metrics sink; required.
   obs::Registry* registry = nullptr;
 };
 
-/// One ground-truth serve-path observation: what actually happened to one
-/// probe of `addr`, against which every policy's decision is scored.
+/// One ground-truth observation: what actually happened to one probe of
+/// `addr`, against which every policy's decision is scored.
 struct PolicyObservation {
   net::Ipv4Address addr;
   /// True when any response arrived, however late.
@@ -83,37 +83,21 @@ struct PolicyObservation {
 
 class PolicyEngine {
  public:
-  /// Policy id 0 is always the static snapshot baseline ("static_table2").
-  static constexpr std::uint32_t kStaticPolicyId = 0;
-
+  /// The static snapshot baseline ("static_table2") is always scored;
+  /// adaptive policies join it through register_policy().
   PolicyEngine(PolicyEngineConfig config,
                std::shared_ptr<const OracleSnapshot> snapshot);
 
   PolicyEngine(const PolicyEngine&) = delete;
   PolicyEngine& operator=(const PolicyEngine&) = delete;
 
-  /// Registers an adaptive policy and returns its id (1-based; 0 is the
-  /// static baseline). Register everything before traffic starts.
-  std::uint32_t register_policy(std::unique_ptr<core::OnlinePolicy> policy)
-      TURTLE_EXCLUDES(mu_);
-
-  /// Registered adaptive policies (the static baseline not included).
-  [[nodiscard]] std::size_t policy_count() const TURTLE_EXCLUDES(mu_);
-
-  /// Answers an oracle query through policy `policy_id`. The static id —
-  /// and any destination the policy's estimator is still cold for — falls
-  /// back to the snapshot (counted answered_cold for adaptive ids); a
-  /// warm estimator answers at block scope with its give-up timeout.
-  [[nodiscard]] LookupResult answer(std::uint32_t policy_id, net::Ipv4Address addr)
-      TURTLE_EXCLUDES(mu_);
+  /// Registers an adaptive policy. Register everything before the first
+  /// observation.
+  void register_policy(std::unique_ptr<core::OnlinePolicy> policy);
 
   /// Scores every policy (static baseline included) against one
   /// observation, then lets the adaptive estimators learn from it.
-  void observe(const PolicyObservation& observation) TURTLE_EXCLUDES(mu_);
-
-  /// Metric name of policy `policy_id` ("static_table2" for id 0).
-  [[nodiscard]] std::string policy_name(std::uint32_t policy_id) const
-      TURTLE_EXCLUDES(mu_);
+  void observe(const PolicyObservation& observation);
 
  private:
   /// Per-policy ledger counters, created eagerly so every tournament run
@@ -125,8 +109,6 @@ class PolicyEngine {
     obs::Counter* correct_waits = nullptr;
     obs::Counter* wait_us = nullptr;
     obs::Counter* excess_wait_us = nullptr;
-    obs::Counter* answered = nullptr;
-    obs::Counter* answered_cold = nullptr;
     obs::Counter* evictions = nullptr;
     obs::Counter* estimator_resets = nullptr;
   };
@@ -139,7 +121,6 @@ class PolicyEngine {
 
   struct PolicyState {
     std::unique_ptr<core::OnlinePolicy> policy;
-    std::string name;
     Tally tally;
     /// /24 network -> estimator state; std::map so any iteration order is
     /// deterministic (turtlint D1).
@@ -151,21 +132,17 @@ class PolicyEngine {
   [[nodiscard]] Tally make_tally(const std::string& name);
   /// Find-or-create `network`'s estimator for `state`, front of the LRU;
   /// evicts (counted) when the working set overflows.
-  Entry& touch(PolicyState& state, std::uint32_t network) TURTLE_REQUIRES(mu_);
-  /// The static baseline's frozen answer for `addr`.
-  [[nodiscard]] LookupResult static_lookup(net::Ipv4Address addr) const
-      TURTLE_REQUIRES(mu_);
+  Entry& touch(PolicyState& state, std::uint32_t network);
   /// Scores one decision's give-up bound against the observation.
-  void score(const Tally& tally, SimTime give_up, const PolicyObservation& observation)
-      TURTLE_REQUIRES(mu_);
+  void score(const Tally& tally, SimTime give_up, const PolicyObservation& observation);
 
   PolicyEngineConfig config_;
-  std::unique_ptr<obs::Registry> owned_registry_;
   std::shared_ptr<const OracleSnapshot> snapshot_;
+  /// The thread that built the engine, the only one that may use it.
+  std::thread::id owner_;
 
-  mutable util::Mutex mu_;
-  std::vector<PolicyState> policies_ TURTLE_GUARDED_BY(mu_);
-  Tally static_tally_ TURTLE_GUARDED_BY(mu_);
+  std::vector<PolicyState> policies_;
+  Tally static_tally_;
 
   // Aggregate ledger across every policy: <prefix>.decisions ==
   // <prefix>.timeouts + <prefix>.correct_waits.

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -515,11 +516,12 @@ BuildLedger build_snapshot_file(const std::string& log_path, const std::string& 
   // Pass D, merge: straight from the shards' part spills into the file.
   {
     std::ofstream os = open_out(out_path);
-    std::ifstream part_is;
+    // One part stream at a time, each opened in place of the last (a
+    // move-assigned ifstream draws GCC's -Wstringop-overflow under UBSan).
+    std::optional<std::ifstream> part_is;
     const sf::Header header = merge_shards(
         os, config.snapshot, outputs, ases, [&](std::size_t shard, Part part) -> std::istream& {
-          part_is = open_in(paths[shard].parts[part]);
-          return part_is;
+          return part_is.emplace(open_in(paths[shard].parts[part]));
         });
     ledger.total_samples = header.total_samples;
     ledger.block_count = header.block_count;

@@ -9,10 +9,12 @@
 // TURTLE_REQUIRES(mu_), and a missed lock is a compile error under
 // -DTURTLE_THREAD_SAFETY=ON instead of a TSan report three layers later.
 //
-// Determinism note: none of these primitives introduce randomness or wall
-// time; in the single-threaded simulator paths that also use them
-// (OracleServer) every acquisition is uncontended and the event order is
-// unchanged.
+// Use them only for state a second thread really reaches: the thread
+// pool's queue, the shard and snapshot-build joins (BlockingCounter), the
+// daemon's EventLoop::inject. An object used on one thread only, such as
+// OracleServer or PolicyEngine, takes no lock and records its owner
+// thread for a TURTLE_DCHECK instead. None of these primitives introduce
+// randomness or wall time.
 #pragma once
 
 #include <condition_variable>

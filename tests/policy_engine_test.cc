@@ -2,26 +2,24 @@
 // correct_waits), false-timeout and excess-wait accounting, bounded
 // per-/24 working set with counted eviction, ground-truth extraction from
 // survey logs (delayed-response re-attribution included), determinism,
-// and OracleServer routing through registered policies.
+// and the one-thread contract.
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/online_policy.h"
 #include "obs/metrics.h"
-#include "serve/oracle_server.h"
 #include "serve/oracle_snapshot.h"
 #include "serve/policy_engine.h"
-#include "sim/simulator.h"
+#include "util/check.h"
 #include "util/prng.h"
 
 namespace turtle {
 namespace {
 
-using serve::LookupResult;
-using serve::LookupScope;
 using serve::OracleSnapshot;
 using serve::PolicyEngine;
 using serve::PolicyEngineConfig;
@@ -155,7 +153,7 @@ TEST(ObservationsFromLog, ArrivalBeyondWindowOrWrongAddressIsALoss) {
 }
 
 // ---------------------------------------------------------------------------
-// PolicyEngine: ledger, eviction, answer routing
+// PolicyEngine: ledger, eviction, determinism, thread contract
 // ---------------------------------------------------------------------------
 
 TEST(PolicyEngine, LedgerClosesForEveryPolicyAndAggregate) {
@@ -167,10 +165,6 @@ TEST(PolicyEngine, LedgerClosesForEveryPolicyAndAggregate) {
   engine.register_policy(std::make_unique<core::JacobsonKarnPolicy>());
   engine.register_policy(std::make_unique<core::EwmaVariancePolicy>());
   engine.register_policy(std::make_unique<core::CusumQuantilePolicy>());
-  EXPECT_EQ(engine.policy_count(), 3u);
-  EXPECT_EQ(engine.policy_name(0), "static_table2");
-  EXPECT_EQ(engine.policy_name(1), "jacobson_karn");
-  EXPECT_EQ(engine.policy_name(3), "cusum_p99");
 
   util::Prng rng{11};
   constexpr int kObservations = 500;
@@ -249,50 +243,6 @@ TEST(PolicyEngine, BoundedWorkingSetEvictsLruCounted) {
   EXPECT_EQ(counter(registry, "policy.jacobson_karn.evictions"), 3u);
 }
 
-TEST(PolicyEngine, AnswerRoutesStaticColdAndWarm) {
-  obs::Registry registry;
-  PolicyEngineConfig config;
-  config.registry = &registry;
-  const auto snapshot = test_snapshot();
-  PolicyEngine engine{config, snapshot};
-  const auto id = engine.register_policy(std::make_unique<core::JacobsonKarnPolicy>());
-  ASSERT_EQ(id, 1u);
-
-  const auto addr = kBlockA.address(1);
-  const LookupResult baseline = snapshot->lookup(addr, 95, 95);
-
-  // Static id: always the frozen snapshot answer.
-  const LookupResult via_static = engine.answer(PolicyEngine::kStaticPolicyId, addr);
-  EXPECT_EQ(via_static.timeout, baseline.timeout);
-  EXPECT_EQ(via_static.scope, baseline.scope);
-
-  // Adaptive id, cold destination: snapshot fallback, counted.
-  const LookupResult cold = engine.answer(id, addr);
-  EXPECT_EQ(cold.timeout, baseline.timeout);
-  EXPECT_EQ(counter(registry, "policy.jacobson_karn.answered"), 1u);
-  EXPECT_EQ(counter(registry, "policy.jacobson_karn.answered_cold"), 1u);
-
-  // Warm the estimator: stable 100 ms observations pin the RTO to the
-  // RFC 6298 1 s floor.
-  for (int i = 0; i < 10; ++i) {
-    PolicyObservation observation;
-    observation.addr = addr;
-    observation.responded = true;
-    observation.rtt = SimTime::millis(100);
-    engine.observe(observation);
-  }
-  const LookupResult warm = engine.answer(id, addr);
-  EXPECT_EQ(warm.scope, LookupScope::kBlock);
-  EXPECT_EQ(warm.timeout, SimTime::seconds(1));
-  EXPECT_EQ(warm.samples, 10u);
-  EXPECT_GT(warm.confidence, 0.3);
-  EXPECT_EQ(warm.version, baseline.version);
-  EXPECT_EQ(counter(registry, "policy.jacobson_karn.answered"), 2u);
-  EXPECT_EQ(counter(registry, "policy.jacobson_karn.answered_cold"), 1u);
-  EXPECT_LE(counter(registry, "policy.jacobson_karn.answered_cold"),
-            counter(registry, "policy.jacobson_karn.answered"));
-}
-
 TEST(PolicyEngine, NullSnapshotStillKeepsTheLedger) {
   obs::Registry registry;
   PolicyEngineConfig config;
@@ -316,10 +266,6 @@ TEST(PolicyEngine, NullSnapshotStillKeepsTheLedger) {
   // cover 30 ms, so its ledger closes on the correct side.
   EXPECT_EQ(counter(registry, "policy.ewma.decisions"), 2u);
   EXPECT_EQ(counter(registry, "policy.ewma.correct_waits"), 2u);
-  // Cold answers with no snapshot degrade to an empty result, counted.
-  const LookupResult cold = engine.answer(1, kBlockB.address(1));
-  EXPECT_EQ(cold.timeout, SimTime{});
-  EXPECT_EQ(counter(registry, "policy.ewma.answered_cold"), 1u);
 }
 
 TEST(PolicyEngine, DeterministicAcrossInstances) {
@@ -356,57 +302,19 @@ TEST(PolicyEngine, DeterministicAcrossInstances) {
   EXPECT_GT(counter(first, "policy.jacobson_karn.evictions"), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// OracleServer integration
-// ---------------------------------------------------------------------------
-
-TEST(OracleServer, RoutesRequestsThroughPolicyEngine) {
-  obs::Registry registry;
-  sim::Simulator sim{&registry};
-  const auto snapshot = test_snapshot();
-
-  PolicyEngineConfig engine_config;
-  engine_config.registry = &registry;
-  PolicyEngine engine{engine_config, snapshot};
-  const auto id = engine.register_policy(std::make_unique<core::JacobsonKarnPolicy>());
-
-  // Warm the estimator before serving.
-  for (int i = 0; i < 10; ++i) {
-    PolicyObservation observation;
-    observation.addr = kBlockA.address(1);
-    observation.responded = true;
-    observation.rtt = SimTime::millis(100);
-    engine.observe(observation);
-  }
-
-  serve::ServerConfig server_config;
-  server_config.registry = &registry;
-  server_config.policy_engine = &engine;
-  serve::OracleServer server{sim, server_config, snapshot};
-
-  LookupResult via_policy;
-  LookupResult via_static;
-  serve::Request request{kBlockA.address(1), 95, 95};
-  request.policy_id = id;
-  server.submit(request, [&via_policy](const LookupResult& result, SimTime) {
-    via_policy = result;
-  });
-  serve::Request static_request{kBlockA.address(1), 95, 95};
-  server.submit(static_request, [&via_static](const LookupResult& result, SimTime) {
-    via_static = result;
-  });
-  sim.run();
-  server.finalize();
-
-  // The warm adaptive answer is the estimator's RTO at block scope; the
-  // default policy id 0 is the frozen snapshot answer.
-  EXPECT_EQ(via_policy.timeout, SimTime::seconds(1));
-  EXPECT_EQ(via_policy.scope, LookupScope::kBlock);
-  EXPECT_EQ(via_static.timeout, snapshot->lookup(kBlockA.address(1), 95, 95).timeout);
-  EXPECT_LE(via_static.timeout, SimTime::millis(100));
-  EXPECT_EQ(counter(registry, "serve.served"), 2u);
-  EXPECT_EQ(counter(registry, "policy.jacobson_karn.answered"), 1u);
+#if TURTLE_DCHECK_ENABLED
+TEST(PolicyEngineDeathTest, ObserveOffItsThreadTripsDcheck) {
+  const auto observe_off_thread = [] {
+    obs::Registry registry;
+    PolicyEngineConfig config;
+    config.registry = &registry;
+    PolicyEngine engine{config, test_snapshot()};
+    std::thread other{[&engine] { engine.observe(PolicyObservation{}); }};
+    other.join();
+  };
+  EXPECT_DEATH(observe_off_thread(), "PolicyEngine used off its thread");
 }
+#endif
 
 }  // namespace
 }  // namespace turtle

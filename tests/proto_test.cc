@@ -40,7 +40,6 @@ TEST(Proto, ParsesQueryWithOptions) {
   const ParsedRequest full = parse_ok(
       "QUERY 10.1.2.3 scope=as policy=2 addr-coverage=99 ping-coverage=50");
   EXPECT_EQ(full.query.min_scope, serve::LookupScope::kAs);
-  EXPECT_EQ(full.query.policy_id, 2u);
   EXPECT_DOUBLE_EQ(full.query.addr_coverage, 99.0);
   EXPECT_DOUBLE_EQ(full.query.ping_coverage, 50.0);
 

@@ -1,9 +1,10 @@
 // turtle::serve — snapshot tiering and recommendation parity, server
-// accounting/shedding/caching/hot-swap/crash-recovery, and load-generator
-// determinism across shard counts.
+// accounting/shedding/caching/hot-swap/crash-recovery, load-generator
+// determinism across shard counts, and the server's one-thread contract.
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "serve/oracle_snapshot.h"
 #include "sim/shard_runner.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/stats.h"
 
 namespace turtle {
@@ -405,6 +407,20 @@ TEST(Transport, InSimBackendIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(serial, run_sharded_metrics(8));
   EXPECT_NE(serial.find("serve.offered"), std::string::npos);
 }
+
+#if TURTLE_DCHECK_ENABLED
+TEST(OracleServerDeathTest, SubmitOffItsThreadTripsDcheck) {
+  const auto submit_off_thread = [] {
+    sim::Simulator sim;
+    OracleServer server{sim, serve::ServerConfig{}, test_snapshot()};
+    std::thread other{[&server] {
+      server.submit(serve::Request{kBlockA.address(1), 95, 95}, nullptr);
+    }};
+    other.join();
+  };
+  EXPECT_DEATH(submit_off_thread(), "OracleServer used off its thread");
+}
+#endif
 
 }  // namespace
 }  // namespace turtle

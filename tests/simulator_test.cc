@@ -130,7 +130,7 @@ TEST(EventQueueDeathTest, PopOnEmptyTripsDcheck) {
   EXPECT_DEATH(
       {
         EventQueue q;
-        q.pop();
+        (void)q.pop();
       },
       "pop\\(\\) on an empty EventQueue");
 }

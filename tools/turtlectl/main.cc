@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
                  "usage: turtlectl [--host=H] [--port=N | --port-file=F] [--udp]\n"
                  "                 [--timeout-ms=N] [--local=SNAPSHOT]\n"
                  "                 <command> [operand...]\n"
-                 "commands: query <addr> [scope=block|as|global] [policy=N]\n"
+                 "commands: query <addr> [scope=block|as|global]\n"
                  "          stats | version | swap <path> | quit\n");
     return 2;
   }
