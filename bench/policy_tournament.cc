@@ -2,16 +2,16 @@
 // estimator policies, scored on the paper's own trade-off (false-timeout
 // rate vs mean wait) under clean and adversarial conditions.
 //
-// Per shard and scenario the pipeline is: (1) a clean survey builds the
-// snapshot — the frozen "Table 2" answer; (2) the same seeded world reruns
-// under the scenario's fault plan, and the faulted record log becomes the
-// ground-truth observation stream (matched responses, re-attributed
-// delayed responses, losses — see serve::observations_from_log); (3) a
-// PolicyEngine observes the stream in probe order, scoring every policy
-// (static baseline included) against each observation and then letting
-// the estimators learn from it. Decide-before-learn ordering means each
-// policy is judged on what it would have prescribed *before* seeing the
-// outcome.
+// Per shard, (1) a clean survey builds the snapshot — the frozen "Table 2"
+// answer — once for every scenario. Then per scenario (2) the same seeded
+// world reruns under the scenario's fault plan, and the faulted record
+// log becomes the ground-truth observation stream (matched responses,
+// re-attributed delayed responses, losses — see
+// serve::observations_from_log); (3) a PolicyEngine observes the stream
+// in probe order, scoring every policy (static baseline included) against
+// each observation and then letting the estimators learn from it.
+// Decide-before-learn ordering means each policy is judged on what it
+// would have prescribed *before* seeing the outcome.
 //
 // Scenarios: clean, faults_loss_burst, faults_delay_spike,
 // faults_block_outage, and the combined faults_policy_mix adversarial
@@ -96,23 +96,23 @@ int main(int argc, char** argv) {
   const auto results = runner.run(
       static_cast<std::size_t>(shards), [&](sim::ShardContext& ctx) {
         ShardResult result;
+        // Phase 1, once per shard: a clean survey of this shard's world
+        // builds the static oracle, what Table 2 would have recommended.
+        // Its seed depends on the shard alone, so every scenario shares it.
+        bench::WorldOptions options;
+        options.num_blocks = blocks;
+        options.seed = seed + ctx.shard_index;
+        options.registry = ctx.registry;
+        options.trace = ctx.trace;
+        const auto clean_world = bench::make_world(options);
+        const auto clean_prober = bench::run_survey(*clean_world, rounds);
+        result.events += clean_world->sim.events_processed();
+        result.probes += clean_prober.probes_sent();
+        const auto snapshot = std::make_shared<const serve::OracleSnapshot>(
+            serve::OracleSnapshot::build(clean_prober.log(), {},
+                                         &clean_world->population->geo()));
+
         for (const Scenario& scenario : scenarios) {
-          // Phase 1: a clean survey of this shard's world builds the
-          // static oracle — what Table 2 would have recommended.
-          bench::WorldOptions options;
-          options.num_blocks = blocks;
-          options.seed = seed + ctx.shard_index;
-          options.registry = ctx.registry;
-          options.trace = ctx.trace;
-          auto clean_world = bench::make_world(options);
-          const auto clean_prober = bench::run_survey(*clean_world, rounds);
-          result.events += clean_world->sim.events_processed();
-          result.probes += clean_prober.probes_sent();
-
-          const hosts::GeoDatabase* geo = &clean_world->population->geo();
-          auto snapshot = std::make_shared<const serve::OracleSnapshot>(
-              serve::OracleSnapshot::build(clean_prober.log(), {}, geo));
-
           // Phase 2: the same seeded world re-surveyed under the
           // scenario's fault plan; its log is the adversarial ground
           // truth. Clean scenario: the observations are the clean log's.

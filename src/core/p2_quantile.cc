@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace turtle::core {
 
@@ -96,23 +95,21 @@ P2Quantile P2Quantile::restore(double q, const State& state) {
 }
 
 double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact sample quantile over the first few observations. The unused
-    // slots hold +infinity, so sorting all five leaves the observations in
-    // the first count_ slots (a fixed-length sort also keeps GCC's
-    // -Warray-bounds quiet about the variable-length one).
-    std::array<double, 5> sorted;
-    sorted.fill(std::numeric_limits<double>::infinity());
-    std::copy_n(heights_.begin(), count_, sorted.begin());
-    std::sort(sorted.begin(), sorted.end());
-    const double rank = q_ * static_cast<double>(count_ - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= count_) return sorted[count_ - 1];
-    return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-  }
-  return heights_[2];
+  return frozen_value(q_, count_, [this](std::size_t i) { return heights_[i]; });
+}
+
+double P2Quantile::small_sample_value(double q, std::uint64_t count,
+                                      std::array<double, 5> first) {
+  if (count == 0) return 0.0;
+  // Sorting all five slots leaves the observations in the first count,
+  // ahead of the +infinity padding (a fixed-length sort also keeps GCC's
+  // -Warray-bounds quiet about the variable-length one).
+  std::sort(first.begin(), first.end());
+  const double rank = q * static_cast<double>(count - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= count) return first[count - 1];
+  return first[lo] + frac * (first[lo + 1] - first[lo]);
 }
 
 }  // namespace turtle::core

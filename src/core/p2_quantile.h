@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace turtle::core {
 
@@ -41,7 +42,26 @@ class P2Quantile {
   [[nodiscard]] State state() const;
   static P2Quantile restore(double q, const State& state);
 
+  /// value() of a frozen estimator of `q` that has seen `count`
+  /// observations, with no estimator restored: `height(i)` returns its
+  /// marker height i and is asked for the middle marker alone once count
+  /// >= 5, or for the first `count` markers below that (the exact
+  /// small-sample path). Bitwise restore(q, state).value(); a snapshot
+  /// lookup answers this way from the stored heights it needs.
+  template <class Height>
+  [[nodiscard]] static double frozen_value(double q, std::uint64_t count, Height&& height) {
+    if (count >= 5) return height(std::size_t{2});
+    std::array<double, 5> first;
+    first.fill(std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < count; ++i) first[i] = height(i);
+    return small_sample_value(q, count, first);
+  }
+
  private:
+  /// The exact sample quantile of the first `count` (< 5) observations;
+  /// the unused slots of `first` hold +infinity.
+  static double small_sample_value(double q, std::uint64_t count, std::array<double, 5> first);
+
   void add_initial(double x);
   void add_steady(double x);
   /// Piecewise-parabolic (fallback linear) adjustment of marker i.

@@ -44,6 +44,10 @@ void Connection::handle_read() {
       splitter_.feed(std::string_view{buf, static_cast<std::size_t>(n)},
                      [this](std::string_view line) { on_line(line); },
                      [this] { daemon_.on_line_overflow(*this); });
+      // A short read took what the socket held. The loop's epoll is
+      // level-triggered, so bytes that arrive later wake this connection
+      // again; another read now would only meet EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof buf) return;
       continue;
     }
     if (n == 0) {  // peer closed its end

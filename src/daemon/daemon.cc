@@ -2,6 +2,7 @@
 
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -118,38 +119,45 @@ void Daemon::close_connection(std::uint64_t id, CloseReason reason) {
 }
 
 void Daemon::dispatch_line(Connection& conn, std::string_view line) {
+  reply_.clear();
+  const bool quit = answer_line(line, reply_);
+  conn.push_response(reply_);
+  if (quit) conn.request_close_after_flush();
+}
+
+bool Daemon::answer_line(std::string_view line, std::string& out) {
   proto_requests_->inc();
   proto::ParseError error{};
   const auto parsed = proto::parse_request(line, error);
   if (!parsed.has_value()) {
     proto_rejected_->inc();
-    conn.push_response(proto::format_error(error));
-    return;
+    out += proto::format_error(error);
+    return false;
   }
   switch (parsed->command) {
     case proto::Command::kQuery:
       proto_queries_->inc();
-      conn.push_response(answer_query(parsed->query));
-      return;
+      answer_query(parsed->query, out);
+      return false;
     case proto::Command::kStats:
       proto_admin_->inc();
-      conn.push_response(stats_line());
-      return;
+      out += stats_line();
+      return false;
     case proto::Command::kVersion:
       proto_admin_->inc();
-      conn.push_response(version_line());
-      return;
+      out += version_line();
+      return false;
     case proto::Command::kSwap:
       proto_admin_->inc();
-      conn.push_response(do_swap(parsed->swap_path));
-      return;
+      out += do_swap(parsed->swap_path);
+      return false;
     case proto::Command::kQuit:
       proto_admin_->inc();
-      conn.push_response("OK BYE");
-      conn.request_close_after_flush();
+      out += "OK BYE";
       loop_.defer([this] { begin_shutdown(); });
-      return;
+      return true;
   }
+  TURTLE_UNREACHABLE();
 }
 
 void Daemon::on_line_overflow(Connection& conn) {
@@ -180,40 +188,12 @@ void Daemon::on_udp_ready() {
 }
 
 void Daemon::handle_udp_datagram(const sockaddr_in& peer, std::string_view payload) {
-  proto_requests_->inc();
-  proto::ParseError error{};
-  const auto parsed = proto::parse_request(payload, error);
-  if (!parsed.has_value()) {
-    proto_rejected_->inc();
-    udp_out_.push_back(UdpReply{peer, proto::format_error(error)});
-    return;
-  }
-  switch (parsed->command) {
-    case proto::Command::kQuery:
-      proto_queries_->inc();
-      udp_out_.push_back(UdpReply{peer, answer_query(parsed->query)});
-      return;
-    case proto::Command::kStats:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, stats_line()});
-      return;
-    case proto::Command::kVersion:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, version_line()});
-      return;
-    case proto::Command::kSwap:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, do_swap(parsed->swap_path)});
-      return;
-    case proto::Command::kQuit:
-      proto_admin_->inc();
-      udp_out_.push_back(UdpReply{peer, "OK BYE"});
-      loop_.defer([this] { begin_shutdown(); });
-      return;
-  }
+  UdpReply& reply = udp_out_.emplace_back();
+  reply.peer = peer;
+  answer_line(payload, reply.line);
 }
 
-std::string Daemon::answer_query(const serve::Request& query) {
+void Daemon::answer_query(const serve::Request& query, std::string& out) {
   offered_->inc();
   serve::LookupResult result;
   if (snapshot_ != nullptr) {
@@ -238,7 +218,7 @@ std::string Daemon::answer_query(const serve::Request& query) {
     answered_this_iteration_ = true;
     batches_->inc();
   }
-  return proto::format_query_response(result);
+  proto::append_query_response(out, result);
 }
 
 void Daemon::post_dispatch() {
@@ -255,13 +235,17 @@ void Daemon::post_dispatch() {
 }
 
 void Daemon::flush_udp() {
+  char terminator = '\n';
   while (!udp_out_.empty()) {
-    const UdpReply& reply = udp_out_.front();
-    std::string wire = reply.line;
-    wire += '\n';
-    const ssize_t n =
-        sendto(udp_event_->fd(), wire.data(), wire.size(), 0,
-               reinterpret_cast<const sockaddr*>(&reply.peer), sizeof reply.peer);
+    UdpReply& reply = udp_out_.front();
+    // The line and its terminator leave as one datagram of two pieces.
+    iovec pieces[2] = {{reply.line.data(), reply.line.size()}, {&terminator, 1}};
+    msghdr message{};
+    message.msg_name = &reply.peer;
+    message.msg_namelen = sizeof reply.peer;
+    message.msg_iov = pieces;
+    message.msg_iovlen = 2;
+    const ssize_t n = sendmsg(udp_event_->fd(), &message, 0);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;  // retry next cycle
     // Sent (or unsendable: the datagram contract is best-effort).
     if (n >= 0) udp_replies_->inc();

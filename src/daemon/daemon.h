@@ -99,9 +99,12 @@ class Daemon {
   void on_accept(int fd);
   void on_udp_ready();
   void handle_udp_datagram(const sockaddr_in& peer, std::string_view payload);
+  /// Counts, parses and answers one request line, appending its reply
+  /// line (no terminator) to `out` (TCP and UDP alike). True for QUIT.
+  bool answer_line(std::string_view line, std::string& out);
   /// Looks `query` up in the serving snapshot, counts it in the serve.*
-  /// ledger and returns its reply line (TCP and UDP alike).
-  [[nodiscard]] std::string answer_query(const serve::Request& query);
+  /// ledger and appends its reply line to `out`.
+  void answer_query(const serve::Request& query, std::string& out);
   void post_dispatch();
   void flush_udp();
   /// Reaps every connection silent for the idle window, then re-arms
@@ -135,8 +138,12 @@ class Daemon {
   /// Connections with new output this iteration (schedule_write), each
   /// written once by post_dispatch.
   std::vector<std::uint64_t> pending_writes_;
+  /// A TCP request's reply line, reused for every request so that a reply
+  /// allocates nothing; push_response copies it into the connection's
+  /// write buffer.
+  std::string reply_;
 
-  /// UDP replies queued until post_dispatch (sendto then).
+  /// UDP replies queued until post_dispatch (sendmsg then).
   struct UdpReply {
     sockaddr_in peer{};
     std::string line;

@@ -1,8 +1,7 @@
 #include "daemon/proto.h"
 
 #include <charconv>
-#include <utility>
-#include <vector>
+#include <system_error>
 
 #include "net/ipv4.h"
 #include "obs/json.h"
@@ -11,20 +10,25 @@
 namespace turtle::daemon::proto {
 namespace {
 
-/// Splits on single spaces; empty tokens (doubled spaces, leading or
-/// trailing space) are dropped, so formatting slack is tolerated.
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    const std::string_view token =
-        line.substr(pos, space == std::string_view::npos ? space : space - pos);
-    if (!token.empty()) tokens.push_back(token);
-    if (space == std::string_view::npos) break;
-    pos = space + 1;
-  }
-  return tokens;
+/// Takes the next token off the front of `rest`, in place; empty once no
+/// token is left. Tokens are split on single spaces; empty ones (doubled
+/// spaces, leading or trailing space) are skipped, so formatting slack is
+/// tolerated.
+std::string_view next_token(std::string_view& rest) {
+  const std::size_t begin = rest.find_first_not_of(' ');
+  if (begin == std::string_view::npos) return {};
+  rest.remove_prefix(begin);
+  const std::string_view token = rest.substr(0, rest.find(' '));
+  rest.remove_prefix(token.size());
+  return token;
+}
+
+template <class Int>
+void append_decimal(std::string& out, Int value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  TURTLE_DCHECK(ec == std::errc{});
+  out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 bool parse_u32(std::string_view text, std::uint32_t& out) {
@@ -106,80 +110,64 @@ const char* parse_error_code(ParseError error) {
 }
 
 std::optional<ParsedRequest> parse_request(std::string_view line, ParseError& error) {
-  if (line.size() > kMaxLineBytes) {
-    error = ParseError::kLineTooLong;
+  const auto reject = [&error](ParseError why) {
+    error = why;
     return std::nullopt;
-  }
+  };
+  if (line.size() > kMaxLineBytes) return reject(ParseError::kLineTooLong);
   // Tolerate a stray trailing CR (a CRLF datagram client).
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  const std::vector<std::string_view> tokens = tokenize(line);
-  if (tokens.empty()) {
-    error = ParseError::kEmptyLine;
-    return std::nullopt;
-  }
+  const std::string_view verb = next_token(line);
+  if (verb.empty()) return reject(ParseError::kEmptyLine);
 
   ParsedRequest parsed;
-  const std::string_view verb = tokens[0];
   if (verb == "QUERY") {
     parsed.command = Command::kQuery;
-    if (tokens.size() < 2) {
-      error = ParseError::kMissingArgument;
-      return std::nullopt;
-    }
-    const auto addr = net::Ipv4Address::parse(tokens[1]);
-    if (!addr.has_value()) {
-      error = ParseError::kBadAddress;
-      return std::nullopt;
-    }
+    const std::string_view operand = next_token(line);
+    if (operand.empty()) return reject(ParseError::kMissingArgument);
+    const auto addr = net::Ipv4Address::parse(operand);
+    if (!addr.has_value()) return reject(ParseError::kBadAddress);
     parsed.query.addr = *addr;
-    for (std::size_t i = 2; i < tokens.size(); ++i) {
-      if (!parse_query_option(tokens[i], parsed.query)) {
-        error = ParseError::kBadOption;
-        return std::nullopt;
-      }
+    for (std::string_view option = next_token(line); !option.empty(); option = next_token(line)) {
+      if (!parse_query_option(option, parsed.query)) return reject(ParseError::kBadOption);
     }
     return parsed;
   }
   if (verb == "SWAP") {
     parsed.command = Command::kSwap;
-    if (tokens.size() < 2) {
-      error = ParseError::kMissingArgument;
-      return std::nullopt;
-    }
-    if (tokens.size() > 2) {
-      error = ParseError::kTrailingGarbage;
-      return std::nullopt;
-    }
-    parsed.swap_path = std::string{tokens[1]};
+    const std::string_view operand = next_token(line);
+    if (operand.empty()) return reject(ParseError::kMissingArgument);
+    if (!next_token(line).empty()) return reject(ParseError::kTrailingGarbage);
+    parsed.swap_path = std::string{operand};
     return parsed;
   }
   if (verb == "STATS" || verb == "VERSION" || verb == "QUIT") {
-    if (tokens.size() > 1) {
-      error = ParseError::kTrailingGarbage;
-      return std::nullopt;
-    }
+    if (!next_token(line).empty()) return reject(ParseError::kTrailingGarbage);
     parsed.command = verb == "STATS"     ? Command::kStats
                      : verb == "VERSION" ? Command::kVersion
                                          : Command::kQuit;
     return parsed;
   }
-  error = ParseError::kUnknownCommand;
-  return std::nullopt;
+  return reject(ParseError::kUnknownCommand);
+}
+
+void append_query_response(std::string& out, const serve::LookupResult& result) {
+  out += "OK QUERY timeout_us=";
+  append_decimal(out, result.timeout.as_micros());
+  out += " scope=";
+  out += serve::lookup_scope_name(result.scope);
+  out += " samples=";
+  append_decimal(out, result.samples);
+  out += " confidence=";
+  obs::append_json_fixed(out, result.confidence, 6);
+  out += " version=";
+  append_decimal(out, result.version);
 }
 
 std::string format_query_response(const serve::LookupResult& result) {
   std::string out;
   out.reserve(128);  // one allocation: a reply tops out near 130 bytes
-  out += "OK QUERY timeout_us=";
-  out += std::to_string(result.timeout.as_micros());
-  out += " scope=";
-  out += serve::lookup_scope_name(result.scope);
-  out += " samples=";
-  out += std::to_string(result.samples);
-  out += " confidence=";
-  out += obs::json_fixed(result.confidence, 6);
-  out += " version=";
-  out += std::to_string(result.version);
+  append_query_response(out, result);
   return out;
 }
 

@@ -61,12 +61,17 @@ struct ParsedRequest {
   std::string swap_path;
 };
 
-/// Parses one request line (terminator already stripped). On failure
-/// returns nullopt and sets `error`.
+/// Parses one request line (terminator already stripped), walking its
+/// tokens in place: a QUERY allocates nothing. On failure returns nullopt
+/// and sets `error`.
 [[nodiscard]] std::optional<ParsedRequest> parse_request(std::string_view line,
                                                          ParseError& error);
 
-/// `OK QUERY timeout_us=... scope=... samples=... confidence=... version=...`
+/// Appends `OK QUERY timeout_us=... scope=... samples=... confidence=...
+/// version=...` (no terminator) to `out`: the one reply formatter. turtled
+/// appends into a buffer it reuses, so a reply allocates nothing.
+void append_query_response(std::string& out, const serve::LookupResult& result);
+/// The same reply as a fresh string.
 [[nodiscard]] std::string format_query_response(const serve::LookupResult& result);
 /// `ERR <code> <detail>`
 [[nodiscard]] std::string format_error(ParseError error);

@@ -37,6 +37,12 @@ std::string json_escape(std::string_view s) {
 std::string json_quote(std::string_view s) { return "\"" + json_escape(s) + "\""; }
 
 std::string json_fixed(double value, int precision) {
+  std::string out;
+  append_json_fixed(out, value, precision);
+  return out;
+}
+
+void append_json_fixed(std::string& out, double value, int precision) {
   if (!std::isfinite(value)) value = 0;
   // A sign, DBL_MAX's 309 integer digits and the point leave room for
   // 200 fraction digits.
@@ -44,7 +50,7 @@ std::string json_fixed(double value, int precision) {
   const auto [end, ec] =
       std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed, precision);
   TURTLE_CHECK(ec == std::errc{}) << "json_fixed precision " << precision;
-  return std::string(buf, end);
+  out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 }  // namespace turtle::obs

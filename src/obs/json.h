@@ -25,5 +25,7 @@ namespace turtle::obs {
 /// printf's %.*f. NaN/inf render as 0 — JSON has no spelling for them and
 /// a silent null would break flat diffing.
 [[nodiscard]] std::string json_fixed(double value, int precision = 6);
+/// Appends json_fixed(value, precision) to `out`.
+void append_json_fixed(std::string& out, double value, int precision = 6);
 
 }  // namespace turtle::obs

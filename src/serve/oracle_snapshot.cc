@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/p2_quantile.h"
 #include "core/recommendations.h"
 #include "util/check.h"
 
@@ -24,6 +23,21 @@ namespace {
 /// Saturating sample-confidence factor: 0 at n = 0, -> 1 as n grows.
 double sample_factor(std::uint64_t n) {
   return static_cast<double>(n) / (static_cast<double>(n) + 16.0);
+}
+
+/// Index of `key` in the sorted `keys`, if present. The halving step is a
+/// conditional move, not a branch: a lookup of a random /24 mispredicts a
+/// data-dependent branch at about every other level of the search.
+bool find_key(std::span<const std::uint32_t> keys, std::uint32_t key, std::size_t& index) {
+  if (keys.empty()) return false;
+  const std::uint32_t* base = keys.data();
+  for (std::size_t n = keys.size(); n > 1; n -= n / 2) {
+    base += base[n / 2] < key ? n / 2 : 0;
+  }
+  base += *base < key ? 1 : 0;
+  if (base == keys.data() + keys.size() || *base != key) return false;
+  index = static_cast<std::size_t>(base - keys.data());
+  return true;
 }
 
 /// Reads exactly `size` bytes at `offset`; false on a read error or an
@@ -99,64 +113,49 @@ OracleSnapshot::OracleSnapshot(std::unique_ptr<unsigned char[]> image,
     : image_{std::move(image)}, view_{view}, matrix_{view.matrix()} {}
 
 bool OracleSnapshot::block_index(std::uint32_t network, std::size_t& index) const {
-  const std::span<const std::uint32_t> keys = view_.block_keys();
-  const auto it = std::lower_bound(keys.begin(), keys.end(), network);
-  if (it == keys.end() || *it != network) return false;
-  index = static_cast<std::size_t>(it - keys.begin());
-  return true;
+  return find_key(view_.block_keys(), network, index);
 }
 
-bool OracleSnapshot::probe_block(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                                 double& value) const {
-  std::size_t index = 0;
-  if (!block_index(network, index)) return false;
-  samples = view_.block_samples(index);
-  value = view_.block_quantile(index, p).value();
-  return true;
-}
-
-bool OracleSnapshot::probe_as(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                              double& value) const {
-  std::size_t block = 0;
-  if (!block_index(network, block)) return false;
+bool OracleSnapshot::as_index(std::size_t block, std::size_t& index) const {
   const std::uint32_t asn = view_.block_asn()[block];
-  if (asn == snapshot_format::kNoAsn) return false;
-  const std::span<const std::uint32_t> keys = view_.as_keys();
-  const auto it = std::lower_bound(keys.begin(), keys.end(), asn);
-  if (it == keys.end() || *it != asn) return false;
-  const auto index = static_cast<std::size_t>(it - keys.begin());
-  samples = view_.as_samples(index);
-  value = view_.as_quantile(index, p).value();
-  return true;
+  return asn != snapshot_format::kNoAsn && find_key(view_.as_keys(), asn, index);
 }
 
 LookupResult OracleSnapshot::lookup(net::Ipv4Address addr, double addr_coverage,
                                     double ping_coverage, LookupScope min_scope) const {
-  const std::uint32_t network = net::Prefix24::containing(addr).network();
-  const std::size_t p = percentile_index(ping_coverage);
-
   const snapshot_format::Header& header = view_.header();
-  std::uint64_t samples = 0;
-  double value = 0.0;
-  if (min_scope == LookupScope::kBlock && probe_block(network, p, samples, value) &&
-      samples >= header.min_block_samples) {
-    return LookupResult{
-        .timeout = SimTime::from_seconds(value),
-        .scope = LookupScope::kBlock,
-        .samples = samples,
-        .confidence = 1.0 * sample_factor(samples),
-        .version = header.snapshot_version,
-    };
-  }
-  if (min_scope != LookupScope::kGlobal && probe_as(network, p, samples, value) &&
-      samples >= header.min_as_samples) {
-    return LookupResult{
-        .timeout = SimTime::from_seconds(value),
-        .scope = LookupScope::kAs,
-        .samples = samples,
-        .confidence = 0.9 * sample_factor(samples),
-        .version = header.snapshot_version,
-    };
+  const std::size_t p = percentile_index(ping_coverage);
+  // One search of the block keys serves both tiers: the AS tier is found
+  // through the block's ASN. A tier's value is read only once its pool
+  // clears the tier's minimum.
+  std::size_t block = 0;
+  if (min_scope != LookupScope::kGlobal &&
+      block_index(net::Prefix24::containing(addr).network(), block)) {
+    if (min_scope == LookupScope::kBlock) {
+      const std::uint64_t samples = view_.block_samples(block);
+      if (samples >= header.min_block_samples) {
+        return LookupResult{
+            .timeout = SimTime::from_seconds(view_.block_value(block, p)),
+            .scope = LookupScope::kBlock,
+            .samples = samples,
+            .confidence = 1.0 * sample_factor(samples),
+            .version = header.snapshot_version,
+        };
+      }
+    }
+    std::size_t as = 0;
+    if (as_index(block, as)) {
+      const std::uint64_t samples = view_.as_samples(as);
+      if (samples >= header.min_as_samples) {
+        return LookupResult{
+            .timeout = SimTime::from_seconds(view_.as_value(as, p)),
+            .scope = LookupScope::kAs,
+            .samples = samples,
+            .confidence = 0.9 * sample_factor(samples),
+            .version = header.snapshot_version,
+        };
+      }
+    }
   }
   LookupResult global{
       .timeout = SimTime{},

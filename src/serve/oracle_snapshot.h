@@ -93,9 +93,8 @@ struct LookupResult {
 ///
 /// Thread contract: a snapshot deliberately holds no mutex of its own.
 /// The image is written and validated before the constructor runs, and
-/// every public const accessor only reads it (a lookup restores a
-/// P2Quantile by value), so concurrent lookup() calls from many threads
-/// need no lock. *Which* snapshot is live is its server's state, swapped
+/// every public const accessor only reads it, so concurrent lookup()
+/// calls from many threads need no lock. *Which* snapshot is live is its server's state, swapped
 /// on that server's one thread (OracleServer::swap_snapshot, turtled's
 /// SWAP) and held by shared_ptr, so a hot-swap never frees a snapshot
 /// mid-lookup.
@@ -174,14 +173,9 @@ class OracleSnapshot {
 
   /// Index of `network` in the sorted block-key section, if present.
   [[nodiscard]] bool block_index(std::uint32_t network, std::size_t& index) const;
-
-  /// Tier probes behind lookup(): find the /24 (or its AS) aggregate and
-  /// produce its pool size plus the p-th quantile estimate, restored from
-  /// the frozen P2 state by the *same* value() code the build folded with.
-  [[nodiscard]] bool probe_block(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                                 double& value) const;
-  [[nodiscard]] bool probe_as(std::uint32_t network, std::size_t p, std::uint64_t& samples,
-                              double& value) const;
+  /// Index of block `block`'s AS in the sorted AS-key section, if the
+  /// block has an ASN with an aggregate.
+  [[nodiscard]] bool as_index(std::size_t block, std::size_t& index) const;
 
   std::unique_ptr<unsigned char[]> image_;
   snapshot_format::View view_;  ///< over image_

@@ -184,11 +184,21 @@ std::uint64_t View::as_samples(std::size_t i) const {
   return read_u64(section(kAsAggs) + i * aggregate_bytes(header_.percentile_count));
 }
 
-core::P2Quantile View::quantile_at(const unsigned char* agg_base, std::size_t i,
-                                   std::size_t p) const {
+const unsigned char* View::state_at(Section aggs, std::size_t i, std::size_t p) const {
   TURTLE_DCHECK_LT(p, header_.percentile_count);
-  const unsigned char* state_bytes =
-      agg_base + i * aggregate_bytes(header_.percentile_count) + 8 + p * kQuantileStateBytes;
+  return section(aggs) + i * aggregate_bytes(header_.percentile_count) + 8 +
+         p * kQuantileStateBytes;
+}
+
+double View::value_at(Section aggs, std::size_t i, std::size_t p) const {
+  const unsigned char* state_bytes = state_at(aggs, i, p);
+  return core::P2Quantile::frozen_value(
+      percentiles()[p] / 100.0, read_u64(state_bytes),
+      [state_bytes](std::size_t m) { return read_f64(state_bytes + 8 + m * 8); });
+}
+
+core::P2Quantile View::quantile_at(Section aggs, std::size_t i, std::size_t p) const {
+  const unsigned char* state_bytes = state_at(aggs, i, p);
   core::P2Quantile::State state;
   state.count = read_u64(state_bytes);
   for (std::size_t m = 0; m < 5; ++m) {
@@ -199,14 +209,24 @@ core::P2Quantile View::quantile_at(const unsigned char* agg_base, std::size_t i,
   return core::P2Quantile::restore(percentiles()[p] / 100.0, state);
 }
 
+double View::block_value(std::size_t i, std::size_t p) const {
+  TURTLE_DCHECK_LT(i, header_.block_count);
+  return value_at(kBlockAggs, i, p);
+}
+
+double View::as_value(std::size_t i, std::size_t p) const {
+  TURTLE_DCHECK_LT(i, header_.as_count);
+  return value_at(kAsAggs, i, p);
+}
+
 core::P2Quantile View::block_quantile(std::size_t i, std::size_t p) const {
   TURTLE_DCHECK_LT(i, header_.block_count);
-  return quantile_at(section(kBlockAggs), i, p);
+  return quantile_at(kBlockAggs, i, p);
 }
 
 core::P2Quantile View::as_quantile(std::size_t i, std::size_t p) const {
   TURTLE_DCHECK_LT(i, header_.as_count);
-  return quantile_at(section(kAsAggs), i, p);
+  return quantile_at(kAsAggs, i, p);
 }
 
 analysis::TimeoutMatrix View::matrix() const {

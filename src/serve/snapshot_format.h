@@ -139,6 +139,12 @@ class View {
   [[nodiscard]] std::uint64_t block_samples(std::size_t i) const;
   [[nodiscard]] std::uint64_t as_samples(std::size_t i) const;
 
+  /// The p-th tracked quantile of aggregate `i`, read from its frozen
+  /// state by core::P2Quantile::frozen_value without restoring an
+  /// estimator: bitwise block_quantile(i, p).value(). What lookups answer.
+  [[nodiscard]] double block_value(std::size_t i, std::size_t p) const;
+  [[nodiscard]] double as_value(std::size_t i, std::size_t p) const;
+
   /// Restores the p-th tracked quantile estimator of aggregate `i`
   /// (q from the percentiles section). value() of the restored estimator
   /// is bitwise identical to the estimator the builder froze.
@@ -150,8 +156,10 @@ class View {
 
  private:
   [[nodiscard]] const unsigned char* section(Section s) const;
-  [[nodiscard]] core::P2Quantile quantile_at(const unsigned char* agg_base, std::size_t i,
-                                             std::size_t p) const;
+  /// Where the p-th frozen quantile state of aggregate `i` starts.
+  [[nodiscard]] const unsigned char* state_at(Section aggs, std::size_t i, std::size_t p) const;
+  [[nodiscard]] double value_at(Section aggs, std::size_t i, std::size_t p) const;
+  [[nodiscard]] core::P2Quantile quantile_at(Section aggs, std::size_t i, std::size_t p) const;
 
   const unsigned char* data_ = nullptr;
   Header header_;

@@ -1,6 +1,7 @@
 // turtle::daemon — an in-process turtled on ephemeral loopback ports,
 // driven through real sockets: a pipelined batch split across two writes,
-// a QUIT pipelined behind queries, a 1024-query burst in one iteration,
+// a QUIT pipelined behind queries, a client that half-closes after its
+// batch, a 1024-query burst in one iteration,
 // both sides of the write-buffer cutoff, the serve.* ledger, a daemon
 // started without a snapshot, the served file changing on disk, idle
 // reaping, and connection churn.
@@ -179,6 +180,9 @@ class Client {
   void send(std::string_view bytes) {
     if (!try_send(bytes)) ADD_FAILURE() << "send failed";
   }
+
+  /// Half-closes: the daemon reads EOF after what was sent.
+  void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
   /// Reads until `count` lines arrived, the peer closed, or the receive
   /// timed out; returns the complete lines, terminators stripped.
@@ -378,6 +382,27 @@ TEST_F(DaemonLoopback, QuitPipelinedBehindQueriesSendsTheirRepliesFirst) {
                                       "OK BYE"}));
   turtled.join();
   EXPECT_EQ(turtled.counter("serve.served"), 2u);
+}
+
+TEST_F(DaemonLoopback, HalfClosedClientGetsTheRepliesToWhatItSent) {
+  // The batch and the FIN both wait in the socket before the daemon's
+  // first read of it. That read comes back short of the read chunk, so
+  // the daemon writes the replies before it reads again and meets EOF;
+  // a connection that read on to EOF in the same wakeup closed before
+  // its replies were written.
+  LoopbackDaemon turtled{snapshot_};
+  Client client{turtled.tcp_port()};
+  ASSERT_TRUE(client.connected());
+  const Batch batch = make_batch(*snapshot_, 0, 8);
+  {
+    LoopHold hold{turtled.loop()};
+    hold.wait_parked();
+    client.send(batch.wire(0, 8));
+    client.shutdown_write();
+  }
+  EXPECT_EQ(client.read_until_eof(), batch.replies);
+  turtled.stop();
+  EXPECT_EQ(turtled.counter("serve.served"), 8u);
 }
 
 TEST_F(DaemonLoopback, QuitFlushesEveryConnectionAndDatagramReadBeforeIt) {

@@ -3,7 +3,10 @@
 // must never crash the codec, and every rejection maps to a named error
 // code (what the daemon counts under daemon.proto.rejected). The QUERY
 // reply bytes are pinned exactly.
+#include <bit>
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "daemon/proto.h"
+#include "net/ipv4.h"
 #include "util/prng.h"
 
 namespace turtle::daemon::proto {
@@ -143,6 +147,195 @@ TEST(Proto, FuzzedLinesNeverCrash) {
       // Rejections always map to a named wire code.
       EXPECT_STRNE(parse_error_code(error), "internal");
     }
+  }
+}
+
+// The parser as it was before it walked tokens in place: split the line
+// into a vector of tokens, then read them by index. Kept as the reference
+// the in-place parser must agree with.
+std::vector<std::string_view> reference_tokenize(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  std::size_t pos = 0;
+  while (pos < line.size()) {
+    const std::size_t space = line.find(' ', pos);
+    const std::string_view token =
+        line.substr(pos, space == std::string_view::npos ? space : space - pos);
+    if (!token.empty()) tokens.push_back(token);
+    if (space == std::string_view::npos) break;
+    pos = space + 1;
+  }
+  return tokens;
+}
+
+bool reference_option(std::string_view token, serve::Request& query) {
+  const std::size_t eq = token.find('=');
+  if (eq == std::string_view::npos || eq == 0 || eq + 1 >= token.size()) return false;
+  const std::string_view key = token.substr(0, eq);
+  const std::string_view value = token.substr(eq + 1);
+  const char* end = value.data() + value.size();
+  if (key == "scope") {
+    if (value == "block") {
+      query.min_scope = serve::LookupScope::kBlock;
+    } else if (value == "as") {
+      query.min_scope = serve::LookupScope::kAs;
+    } else if (value == "global") {
+      query.min_scope = serve::LookupScope::kGlobal;
+    } else {
+      return false;
+    }
+    return true;
+  }
+  if (key == "policy") {
+    std::uint32_t policy = 0;
+    const auto [ptr, ec] = std::from_chars(value.data(), end, policy);
+    return ec == std::errc{} && ptr == end;
+  }
+  double* coverage = key == "addr-coverage"   ? &query.addr_coverage
+                     : key == "ping-coverage" ? &query.ping_coverage
+                                              : nullptr;
+  if (coverage == nullptr) return false;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, *coverage);
+  return ec == std::errc{} && ptr == end && *coverage >= 0.0 && *coverage <= 100.0;
+}
+
+std::optional<ParsedRequest> reference_parse(std::string_view line, ParseError& error) {
+  if (line.size() > kMaxLineBytes) {
+    error = ParseError::kLineTooLong;
+    return std::nullopt;
+  }
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  const std::vector<std::string_view> tokens = reference_tokenize(line);
+  if (tokens.empty()) {
+    error = ParseError::kEmptyLine;
+    return std::nullopt;
+  }
+  ParsedRequest parsed;
+  const std::string_view verb = tokens[0];
+  if (verb == "QUERY") {
+    parsed.command = Command::kQuery;
+    if (tokens.size() < 2) {
+      error = ParseError::kMissingArgument;
+      return std::nullopt;
+    }
+    const auto addr = net::Ipv4Address::parse(tokens[1]);
+    if (!addr.has_value()) {
+      error = ParseError::kBadAddress;
+      return std::nullopt;
+    }
+    parsed.query.addr = *addr;
+    for (std::size_t i = 2; i < tokens.size(); ++i) {
+      if (!reference_option(tokens[i], parsed.query)) {
+        error = ParseError::kBadOption;
+        return std::nullopt;
+      }
+    }
+    return parsed;
+  }
+  if (verb == "SWAP") {
+    parsed.command = Command::kSwap;
+    if (tokens.size() != 2) {
+      error = tokens.size() < 2 ? ParseError::kMissingArgument : ParseError::kTrailingGarbage;
+      return std::nullopt;
+    }
+    parsed.swap_path = std::string{tokens[1]};
+    return parsed;
+  }
+  if (verb == "STATS" || verb == "VERSION" || verb == "QUIT") {
+    if (tokens.size() > 1) {
+      error = ParseError::kTrailingGarbage;
+      return std::nullopt;
+    }
+    parsed.command = verb == "STATS"     ? Command::kStats
+                     : verb == "VERSION" ? Command::kVersion
+                                         : Command::kQuit;
+    return parsed;
+  }
+  error = ParseError::kUnknownCommand;
+  return std::nullopt;
+}
+
+/// parse_request and the reference agree on `line`: the same outcome and
+/// ParseError, or the same command, address, scope, swap path and
+/// bitwise the same coverages.
+void expect_parse_matches_reference(std::string_view line) {
+  ParseError want_error{};
+  ParseError got_error{};
+  const auto want = reference_parse(line, want_error);
+  const auto got = parse_request(line, got_error);
+  ASSERT_EQ(got.has_value(), want.has_value()) << "'" << line << "'";
+  if (!want.has_value()) {
+    EXPECT_EQ(got_error, want_error) << "'" << line << "'";
+    return;
+  }
+  EXPECT_EQ(got->command, want->command) << "'" << line << "'";
+  EXPECT_EQ(got->query.addr, want->query.addr) << "'" << line << "'";
+  EXPECT_EQ(got->query.min_scope, want->query.min_scope) << "'" << line << "'";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->query.addr_coverage),
+            std::bit_cast<std::uint64_t>(want->query.addr_coverage))
+      << "'" << line << "'";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->query.ping_coverage),
+            std::bit_cast<std::uint64_t>(want->query.ping_coverage))
+      << "'" << line << "'";
+  EXPECT_EQ(got->swap_path, want->swap_path) << "'" << line << "'";
+}
+
+TEST(Proto, ParseMatchesReferenceTokenizer) {
+  // FuzzedLinesNeverCrash's generator: bytes drawn from the verbs' letters,
+  // digits, separators, CR and two control bytes.
+  util::Prng rng{20150828};
+  const std::string alphabet = "QUERYSTATSVERSIONSWAPquit 0123456789.=-\r\x01\xff";
+  for (int iter = 0; iter < 20'000; ++iter) {
+    std::string line;
+    const std::size_t len = rng.uniform_int(600);
+    for (std::size_t i = 0; i < len; ++i) line += alphabet[rng.uniform_int(alphabet.size())];
+    expect_parse_matches_reference(line);
+  }
+
+  // Lines assembled from real tokens and runs of spaces, so most of them
+  // get past the verb and the address.
+  const char* const kTokens[] = {
+      "QUERY",           "STATS",           "VERSION",           "SWAP",
+      "QUIT",            "10.1.2.3",        "10.1.2.256",        "1.2.3",
+      "scope=block",     "scope=as",        "scope=global",      "scope=",
+      "policy=7",        "policy=-1",       "addr-coverage=99",  "addr-coverage=.5",
+      "ping-coverage=5e1", "ping-coverage=-0", "ping-coverage=101", "ping-coverage=nan",
+      "/tmp/x.snap",     "=",               "\r",                "x",
+  };
+  for (int iter = 0; iter < 20'000; ++iter) {
+    std::string line(rng.uniform_int(3), ' ');
+    const std::size_t count = rng.uniform_int(7);
+    for (std::size_t i = 0; i < count; ++i) {
+      // The verb usually leads, and the address usually follows it.
+      std::size_t pick = rng.uniform_int(std::size(kTokens));
+      if (i == 0 && rng.uniform_int(4) != 0) pick = rng.uniform_int(5);
+      if (i == 1 && rng.uniform_int(4) != 0) pick = 5;
+      line += kTokens[pick];
+      line.append(1 + rng.uniform_int(3) * rng.uniform_int(2), ' ');
+    }
+    if (rng.uniform_int(2) == 0) line.erase(line.find_last_not_of(' ') + 1);
+    if (rng.uniform_int(4) == 0) line += '\r';
+    expect_parse_matches_reference(line);
+  }
+
+  // Edge cases: formatting slack, the 512-byte bound, SWAP's operand
+  // count and a hundred options (too long as real ones; as one-byte
+  // tokens they fit and the first is rejected).
+  std::string exact = "QUERY 10.1.2.3 scope=as";
+  exact.resize(kMaxLineBytes, ' ');
+  std::string filled = "QUERY 10.1.2.3";
+  while (filled.size() + 17 <= kMaxLineBytes) filled += " ping-coverage=50";
+  filled.resize(kMaxLineBytes, ' ');
+  std::string hundred = "QUERY 10.1.2.3";
+  for (int i = 0; i < 100; ++i) hundred += " policy=1";
+  std::string hundred_short = "QUERY 1.2.3.4";
+  for (int i = 0; i < 100; ++i) hundred_short += " x";
+  for (const std::string& line : std::vector<std::string>{
+           "QUERY  10.1.2.3", "QUERY 10.1.2.3  scope=as", "  QUERY 10.1.2.3",
+           "QUERY 10.1.2.3  ", "  QUERY  10.1.2.3  scope=global  ", "QUERY 10.1.2.3\r",
+           "QUERY 10.1.2.3 \r", "QUERY\r", "\r", " ", "", exact, exact + "\r", exact + "x",
+           filled, "SWAP /tmp/a.snap", "SWAP /tmp/a.snap extra", "SWAP  /tmp/a.snap  ",
+           "SWAP", "STATS ", " QUIT", "VERSION now", hundred, hundred_short}) {
+    expect_parse_matches_reference(line);
   }
 }
 

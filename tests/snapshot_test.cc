@@ -1,12 +1,18 @@
 // snapshot-v1 on-disk format: write/map round trip, the tiers of the
 // in-memory and the streaming build against P2Quantiles folded in the
 // test, corruption rejection (counted, graceful),
+// lookups bitwise equal to restored estimators and to a two-search
+// reference lookup in every tier fallback,
 // streaming builder byte-identity with the in-memory serializer across
 // --jobs (on a log grouping must re-sort too, and on one with addresses
 // that never answered), the build ledger, spill cleanup after a failed
 // build, and snapshot-file crash recovery.
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -21,6 +27,7 @@
 
 #include "analysis/dataset.h"
 #include "core/p2_quantile.h"
+#include "core/recommendations.h"
 #include "crafted_snapshot.h"
 #include "hosts/asdb.h"
 #include "hosts/geodb.h"
@@ -30,6 +37,7 @@
 #include "serve/snapshot_builder.h"
 #include "serve/snapshot_format.h"
 #include "sim/simulator.h"
+#include "synthetic_snapshot.h"
 #include "util/crc64.h"
 
 namespace turtle {
@@ -296,6 +304,175 @@ TEST(SnapshotFile, TiersMatchP2QuantilesFoldedFromTheLog) {
       }
     }
   }
+}
+
+/// A snapshot's image, reopened as a View over an 8-byte aligned copy.
+struct ImageView {
+  explicit ImageView(const OracleSnapshot& snapshot) {
+    std::ostringstream os;
+    snapshot.write(os);
+    const std::string bytes = os.str();
+    words.resize((bytes.size() + 7) / 8);
+    std::memcpy(words.data(), bytes.data(), bytes.size());
+    std::string error;
+    const bool ok = serve::snapshot_format::View::open(
+        reinterpret_cast<const unsigned char*>(words.data()), bytes.size(), view, &error);
+    EXPECT_TRUE(ok) << error;
+  }
+  std::vector<std::uint64_t> words;
+  serve::snapshot_format::View view;
+};
+
+/// lookup() as it was before it searched the block keys once: one search
+/// for the block tier, a second for the AS tier, and each tier's value
+/// from a restored estimator.
+LookupResult two_search_lookup(const OracleSnapshot& snapshot,
+                               const serve::snapshot_format::View& view, net::Ipv4Address addr,
+                               double addr_coverage, double ping_coverage, LookupScope scope) {
+  const serve::snapshot_format::Header& header = view.header();
+  const std::span<const double> percentiles = view.percentiles();
+  std::size_t p = 0;
+  for (std::size_t i = 1; i < percentiles.size(); ++i) {
+    if (std::abs(percentiles[i] - ping_coverage) < std::abs(percentiles[p] - ping_coverage)) p = i;
+  }
+  const auto find = [](std::span<const std::uint32_t> keys, std::uint32_t key,
+                       std::size_t& index) {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it == keys.end() || *it != key) return false;
+    index = static_cast<std::size_t>(it - keys.begin());
+    return true;
+  };
+  const auto factor = [](std::uint64_t n) {
+    return static_cast<double>(n) / (static_cast<double>(n) + 16.0);
+  };
+  const std::uint32_t network = net::Prefix24::containing(addr).network();
+  std::size_t block = 0;
+  if (scope == LookupScope::kBlock && find(view.block_keys(), network, block) &&
+      view.block_samples(block) >= header.min_block_samples) {
+    const std::uint64_t n = view.block_samples(block);
+    return {SimTime::from_seconds(view.block_quantile(block, p).value()), LookupScope::kBlock, n,
+            1.0 * factor(n), header.snapshot_version};
+  }
+  std::size_t as = 0;
+  if (scope != LookupScope::kGlobal && find(view.block_keys(), network, block) &&
+      view.block_asn()[block] != serve::snapshot_format::kNoAsn &&
+      find(view.as_keys(), view.block_asn()[block], as) &&
+      view.as_samples(as) >= header.min_as_samples) {
+    const std::uint64_t n = view.as_samples(as);
+    return {SimTime::from_seconds(view.as_quantile(as, p).value()), LookupScope::kAs, n,
+            0.9 * factor(n), header.snapshot_version};
+  }
+  LookupResult global{SimTime{}, LookupScope::kGlobal, header.total_samples, 0.0,
+                      header.snapshot_version};
+  if (snapshot.has_data()) {
+    global.timeout = core::recommend_timeout(snapshot.matrix(), addr_coverage, ping_coverage);
+    global.confidence = 0.75 * factor(header.total_samples);
+  }
+  return global;
+}
+
+TEST(SnapshotFile, LookupValuesEqualRestoredEstimators) {
+  // The synthetic survey at 12 rounds (every tier and fallback, see
+  // synthetic_snapshot.h) and at one round with both minimums at 1, where
+  // blocks hold 1-6 samples and block 18's AS holds one: aggregates of
+  // 1-4 samples answer through the exact small-sample path.
+  serve::SnapshotConfig small_pools;
+  small_pools.min_block_samples = 1;
+  small_pools.min_as_samples = 1;
+  std::vector<OracleSnapshot> snapshots;
+  snapshots.push_back(test::synthetic_snapshot());
+  snapshots.push_back(test::synthetic_snapshot(1, small_pools));
+
+  std::vector<net::Ipv4Address> addrs = {net::Ipv4Address::from_octets(10, 0, 200, 1),
+                                         net::Ipv4Address::from_octets(203, 0, 113, 9)};
+  for (int b = 0; b < test::kSyntheticBlocks; ++b) {
+    addrs.push_back(test::synthetic_block(b).address(1));
+  }
+  const double coverages[] = {1, 50, 80, 90, 95, 98, 99, 0, 97.5, 100};
+
+  for (const OracleSnapshot& snapshot : snapshots) {
+    const ImageView image{snapshot};
+    const serve::snapshot_format::View& view = image.view;
+    const serve::snapshot_format::Header& header = view.header();
+    const std::span<const double> percentiles = view.percentiles();
+    std::vector<std::uint64_t> pool_sizes;
+
+    // Every aggregate and percentile: the value read without a restore is
+    // bitwise the restored estimator's, and so is what lookup answers.
+    for (std::size_t i = 0; i < header.block_count; ++i) {
+      pool_sizes.push_back(view.block_samples(i));
+      const net::Ipv4Address addr = net::Prefix24::from_network(view.block_keys()[i]).address(1);
+      for (std::size_t p = 0; p < percentiles.size(); ++p) {
+        const double restored = view.block_quantile(i, p).value();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(view.block_value(i, p)),
+                  std::bit_cast<std::uint64_t>(restored))
+            << "block " << i << " p" << percentiles[p];
+        if (view.block_samples(i) < header.min_block_samples) continue;
+        const LookupResult got = snapshot.lookup(addr, 95, percentiles[p]);
+        EXPECT_EQ(got.scope, LookupScope::kBlock);
+        EXPECT_EQ(got.timeout, SimTime::from_seconds(restored)) << "block " << i;
+      }
+    }
+    for (std::size_t i = 0; i < header.as_count; ++i) {
+      pool_sizes.push_back(view.as_samples(i));
+      const auto asn = std::find(view.block_asn().begin(), view.block_asn().end(),
+                                 view.as_keys()[i]);
+      ASSERT_NE(asn, view.block_asn().end());
+      const net::Ipv4Address addr =
+          net::Prefix24::from_network(view.block_keys()[asn - view.block_asn().begin()])
+              .address(1);
+      for (std::size_t p = 0; p < percentiles.size(); ++p) {
+        const double restored = view.as_quantile(i, p).value();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(view.as_value(i, p)),
+                  std::bit_cast<std::uint64_t>(restored))
+            << "AS " << view.as_keys()[i] << " p" << percentiles[p];
+        if (view.as_samples(i) < header.min_as_samples) continue;
+        const LookupResult got = snapshot.lookup(addr, 95, percentiles[p], LookupScope::kAs);
+        EXPECT_EQ(got.scope, LookupScope::kAs);
+        EXPECT_EQ(got.timeout, SimTime::from_seconds(restored)) << "AS " << view.as_keys()[i];
+      }
+    }
+    if (header.min_block_samples == 1) {
+      for (const std::uint64_t n : {1u, 2u, 3u, 4u}) {
+        EXPECT_NE(std::find(pool_sizes.begin(), pool_sizes.end(), n), pool_sizes.end())
+            << "no aggregate of " << n << " samples";
+      }
+    }
+
+    // Every tier fallback answers what the two-search reference answers.
+    for (const net::Ipv4Address addr : addrs) {
+      for (const LookupScope scope :
+           {LookupScope::kBlock, LookupScope::kAs, LookupScope::kGlobal}) {
+        for (const double coverage : coverages) {
+          const LookupResult want = two_search_lookup(snapshot, view, addr, 95, coverage, scope);
+          const LookupResult got = snapshot.lookup(addr, 95, coverage, scope);
+          const std::string where = addr.to_string() + " " + lookup_scope_name(scope) + " p" +
+                                    std::to_string(coverage);
+          EXPECT_EQ(got.scope, want.scope) << where;
+          EXPECT_EQ(got.timeout, want.timeout) << where;
+          EXPECT_EQ(got.samples, want.samples) << where;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.confidence),
+                    std::bit_cast<std::uint64_t>(want.confidence))
+              << where;
+          EXPECT_EQ(got.version, want.version) << where;
+        }
+      }
+    }
+  }
+
+  // The fallbacks above all happen in the 12-round snapshot.
+  const OracleSnapshot& full = snapshots.front();
+  const auto scope_of = [&full](std::uint8_t c, LookupScope scope = LookupScope::kBlock) {
+    return full.lookup(net::Ipv4Address::from_octets(10, 0, c, 1), 95, 95, scope).scope;
+  };
+  EXPECT_EQ(scope_of(3), LookupScope::kBlock);
+  EXPECT_EQ(scope_of(0), LookupScope::kAs);       // block under its minimum
+  EXPECT_EQ(scope_of(7), LookupScope::kGlobal);   // ... with no ASN
+  EXPECT_EQ(scope_of(18), LookupScope::kGlobal);  // ... in an AS under its minimum
+  EXPECT_EQ(scope_of(200), LookupScope::kGlobal);  // absent /24
+  EXPECT_EQ(scope_of(3, LookupScope::kAs), LookupScope::kAs);
+  EXPECT_EQ(scope_of(3, LookupScope::kGlobal), LookupScope::kGlobal);
+  EXPECT_TRUE(full.has_data());
 }
 
 TEST(SnapshotFile, EmptySurveyRoundTrips) {
